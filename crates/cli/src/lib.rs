@@ -1285,8 +1285,20 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// `run` reads the process-global bgq-obs collector (`profile`
+    /// diffs it, `--metrics` and `--baseline` export it), so the tests
+    /// that call it hold this lock: another test's counters must not
+    /// land inside a run's window.
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn help_and_unknown_commands() {
+        let _obs = lock();
         assert!(run(&[]).unwrap().contains("USAGE"));
         assert!(run(&s(&["help"])).unwrap().contains("mira-mine gen"));
         let err = run(&s(&["frobnicate"])).unwrap_err();
@@ -1295,12 +1307,14 @@ mod tests {
 
     #[test]
     fn gen_requires_out() {
+        let _obs = lock();
         let err = run(&s(&["gen"])).unwrap_err();
         assert!(err.to_string().contains("--out"));
     }
 
     #[test]
     fn gen_analyze_report_filter_pipeline() {
+        let _obs = lock();
         let dir = temp_dir("pipeline");
         let dir_str = dir.to_str().unwrap();
         let msg = run(&s(&["gen", "--out", dir_str, "--days", "8", "--seed", "3"])).unwrap();
@@ -1328,6 +1342,7 @@ mod tests {
 
     #[test]
     fn snapshot_gen_import_and_analyze_parity() {
+        let _obs = lock();
         let csv_dir = temp_dir("snap-csv");
         let snap_dir = temp_dir("snap-bin");
         let import_dir = temp_dir("snap-imported");
@@ -1378,6 +1393,7 @@ mod tests {
 
     #[test]
     fn users_command_mines_chains_and_heavy_hitters() {
+        let _obs = lock();
         let dir = temp_dir("users-cmd");
         let dir_str = dir.to_str().unwrap().to_owned();
         run(&s(&[
@@ -1409,6 +1425,7 @@ mod tests {
 
     #[test]
     fn users_flag_validation() {
+        let _obs = lock();
         let err = run(&s(&["users"])).unwrap_err();
         assert!(err.to_string().contains("dataset directory"), "{err}");
         let err = run(&s(&["users", "/d", "--epsilon", "0"])).unwrap_err();
@@ -1417,6 +1434,7 @@ mod tests {
 
     #[test]
     fn gen_population_flag_validation() {
+        let _obs = lock();
         let dir = temp_dir("gen-flags");
         let dir_str = dir.to_str().unwrap();
         let err = run(&s(&["gen", "--out", dir_str, "--retry", "1.5"])).unwrap_err();
@@ -1427,12 +1445,14 @@ mod tests {
 
     #[test]
     fn import_requires_two_directories() {
+        let _obs = lock();
         let err = run(&s(&["import", "/only-one"])).unwrap_err();
         assert!(err.to_string().contains("SRC and DEST"), "{err}");
     }
 
     #[test]
     fn degraded_snapshot_load_survives_a_deleted_segment() {
+        let _obs = lock();
         let dir = temp_dir("snap-degraded");
         let dir_str = dir.to_str().unwrap().to_owned();
         run(&s(&["gen", "--out", &dir_str, "--days", "6", "--seed", "9", "--snapshot"])).unwrap();
@@ -1460,12 +1480,14 @@ mod tests {
 
     #[test]
     fn analyze_missing_dir_is_store_error() {
+        let _obs = lock();
         let err = run(&s(&["analyze", "/nonexistent/mira-data"])).unwrap_err();
         assert!(matches!(err, CliError::Store(_)));
     }
 
     #[test]
     fn bad_numeric_flag_is_usage_error() {
+        let _obs = lock();
         let dir = temp_dir("badnum");
         let err = run(&s(&["gen", "--out", dir.to_str().unwrap(), "--days", "soon"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
@@ -1473,6 +1495,7 @@ mod tests {
 
     #[test]
     fn bad_global_flags_are_usage_errors() {
+        let _obs = lock();
         for bad in [
             &["--trace=xml", "help"][..],
             &["--metrics"],
@@ -1487,6 +1510,7 @@ mod tests {
 
     #[test]
     fn profile_runs_on_a_simulated_trace() {
+        let _obs = lock();
         let out = run(&s(&["profile", "--days", "5", "--seed", "7"])).unwrap();
         assert!(out.contains("profiled simulated (5 days, seed 7)"), "{out}");
         assert!(out.contains("fingerprint"), "{out}");
@@ -1501,6 +1525,7 @@ mod tests {
 
     #[test]
     fn metrics_flag_writes_a_json_manifest() {
+        let _obs = lock();
         let path = temp_dir("metrics").with_extension("json");
         let out = run(&s(&[
             "profile",
@@ -1526,6 +1551,7 @@ mod tests {
 
     #[test]
     fn metrics_unwritable_path_is_a_metrics_error() {
+        let _obs = lock();
         let err = run(&s(&[
             "profile",
             "--days",
@@ -1539,6 +1565,7 @@ mod tests {
 
     #[test]
     fn trace_flag_appends_stage_tree() {
+        let _obs = lock();
         let out = run(&s(&["--trace", "profile", "--days", "3"])).unwrap();
         assert!(out.contains("command: mira-mine --trace profile"), "{out}");
         if bgq_obs::enabled() {
@@ -1579,6 +1606,7 @@ mod tests {
 
     #[test]
     fn degraded_flag_survives_a_deleted_table() {
+        let _obs = lock();
         let dir = temp_dir("degraded");
         let dir_str = dir.to_str().unwrap().to_owned();
         run(&s(&["gen", "--out", &dir_str, "--days", "6", "--seed", "9"])).unwrap();
@@ -1609,6 +1637,7 @@ mod tests {
 
     #[test]
     fn lenient_load_tolerates_a_damaged_row() {
+        let _obs = lock();
         let dir = temp_dir("lenient");
         let dir_str = dir.to_str().unwrap().to_owned();
         run(&s(&["gen", "--out", &dir_str, "--days", "6", "--seed", "5"])).unwrap();
@@ -1644,6 +1673,7 @@ mod tests {
 
     #[test]
     fn trace_out_writes_chrome_trace_json() {
+        let _obs = lock();
         let path = temp_dir("traceout").with_extension("json");
         run(&s(&[
             "--trace-out",
@@ -1692,12 +1722,14 @@ mod tests {
 
     #[test]
     fn trace_out_requires_a_path() {
+        let _obs = lock();
         let err = run(&s(&["--trace-out"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
     }
 
     #[test]
     fn check_without_baseline_is_a_usage_error() {
+        let _obs = lock();
         let err = run(&s(&["profile", "--days", "3", "--check"])).unwrap_err();
         assert!(err.to_string().contains("--baseline"), "{err}");
         let err = run(&s(&[
@@ -1714,6 +1746,7 @@ mod tests {
 
     #[test]
     fn regression_gate_passes_clean_and_fails_doctored_baseline() {
+        let _obs = lock();
         if !bgq_obs::enabled() {
             return; // without `obs` the profile has no spans to gate
         }
@@ -1797,6 +1830,7 @@ mod tests {
 
     #[test]
     fn metrics_manifest_is_written_even_when_the_command_fails() {
+        let _obs = lock();
         let path = temp_dir("metrics-err").with_extension("json");
         let err = run(&s(&[
             "--metrics",

@@ -169,9 +169,12 @@ pub struct Analysis {
 
 impl Analysis {
     /// Runs every analysis with the default [`FilterConfig`].
+    ///
+    /// Builds one [`DatasetIndex`] and hands it to every stage — see
+    /// [`Analysis::run_indexed`].
     #[must_use]
     pub fn run(ds: &Dataset) -> Self {
-        Analysis::run_with(ds, &FilterConfig::default())
+        Analysis::run_indexed(&DatasetIndex::build(ds))
     }
 
     /// Runs every analysis over a possibly partial dataset, marking each
@@ -216,15 +219,6 @@ impl Analysis {
             bgq_obs::add_labeled("analysis.degraded", d.stage, 1);
         }
         self
-    }
-
-    /// Runs every analysis with an explicit filter configuration.
-    ///
-    /// Builds one [`DatasetIndex`] and hands it to every stage — see
-    /// [`Analysis::run_indexed`].
-    #[must_use]
-    pub fn run_with(ds: &Dataset, filter_config: &FilterConfig) -> Self {
-        Analysis::run_indexed(&DatasetIndex::build_with(ds, filter_config))
     }
 
     /// Runs every analysis over a prebuilt [`DatasetIndex`].

@@ -281,28 +281,12 @@ pub struct InterruptionStats {
     pub mean_gap_days: Option<f64>,
 }
 
-/// Computes MTTI from the job log alone.
-#[must_use]
-pub fn interruption_stats(jobs: &[JobRecord]) -> InterruptionStats {
-    let mut kills: Vec<Timestamp> = jobs
-        .iter()
-        .filter(|j| ExitClass::from_exit_code(j.exit_code) == ExitClass::SystemKill)
-        .map(|j| j.ended_at)
-        .collect();
-    kills.sort_unstable();
-    interruption_stats_from(jobs, kills)
-}
-
-/// [`interruption_stats`] over a prebuilt index: the kill times come out
-/// of the index's end-time ordering already classified and sorted.
+/// Computes MTTI from the job log alone. The kill times come out of the
+/// index's end-time ordering already classified and sorted.
 #[must_use]
 pub fn interruption_stats_indexed(idx: &crate::index::DatasetIndex<'_>) -> InterruptionStats {
+    let jobs = idx.jobs;
     let kills = idx.end_times_where(|c| c == ExitClass::SystemKill);
-    interruption_stats_from(idx.jobs, kills)
-}
-
-/// Shared tail of the interruption statistics: `kills` must be sorted.
-fn interruption_stats_from(jobs: &[JobRecord], kills: Vec<Timestamp>) -> InterruptionStats {
     let span_days = match (
         jobs.iter().map(|j| j.started_at).min(),
         jobs.iter().map(|j| j.ended_at).max(),
@@ -310,8 +294,7 @@ fn interruption_stats_from(jobs: &[JobRecord], kills: Vec<Timestamp>) -> Interru
         (Some(a), Some(b)) => (b - a).as_days(),
         _ => 0.0,
     };
-    let mtti_days = (!kills.is_empty() && span_days > 0.0)
-        .then(|| span_days / kills.len() as f64);
+    let mtti_days = (!kills.is_empty() && span_days > 0.0).then(|| span_days / kills.len() as f64);
     let mean_gap_days = (kills.len() >= 2).then(|| {
         let total: f64 = kills.windows(2).map(|w| (w[1] - w[0]).as_days()).sum();
         total / (kills.len() - 1) as f64
@@ -522,6 +505,8 @@ mod tests {
 
     mod interruption {
         use super::*;
+        use crate::index::DatasetIndex;
+        use bgq_logs::store::Dataset;
         use bgq_model::ids::{JobId, ProjectId, UserId};
         use bgq_model::job::{Mode, Queue};
         use bgq_model::Block;
@@ -554,7 +539,11 @@ mod tests {
                 job(75, 4 * day, 5 * day),  // interruption 2
                 job(139, 6 * day, 7 * day), // user failure: not an interruption
             ];
-            let s = interruption_stats(&jobs);
+            let ds = Dataset {
+                jobs,
+                ..Dataset::new()
+            };
+            let s = interruption_stats_indexed(&DatasetIndex::build(&ds));
             assert_eq!(s.interrupted_jobs, 2);
             assert!((s.span_days - 10.0).abs() < 1e-9);
             assert!((s.mtti_days.unwrap() - 5.0).abs() < 1e-9);
@@ -564,7 +553,11 @@ mod tests {
         #[test]
         fn no_kills_means_no_mtti() {
             let jobs = vec![job(0, 0, 100)];
-            let s = interruption_stats(&jobs);
+            let ds = Dataset {
+                jobs,
+                ..Dataset::new()
+            };
+            let s = interruption_stats_indexed(&DatasetIndex::build(&ds));
             assert_eq!(s.interrupted_jobs, 0);
             assert!(s.mtti_days.is_none());
             assert!(s.mean_gap_days.is_none());

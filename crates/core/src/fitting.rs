@@ -7,7 +7,6 @@
 //! class, fits the paper's candidate set to each group's execution
 //! lengths, and ranks families by the Kolmogorov–Smirnov statistic.
 
-use bgq_model::JobRecord;
 use bgq_stats::dist::DistKind;
 use bgq_stats::gof::{select_best, GofResult, ModelSelection};
 
@@ -31,32 +30,21 @@ impl ClassFit {
     }
 }
 
-/// Execution lengths (seconds) of failed jobs in `class`.
+/// Execution lengths (seconds) of failed jobs in `class`, using the
+/// memoized classes of a [`DatasetIndex`].
 ///
 /// Jobs that ran to (at least) 95% of their requested wall time are
 /// excluded: their length is right-censored by the scheduler, not an
 /// observation of the failure law, and including them biases every fit
 /// toward lighter tails.
-#[must_use]
-pub fn failure_lengths(jobs: &[JobRecord], class: ExitClass) -> Vec<f64> {
-    lengths_where(jobs, |i| ExitClass::from_exit_code(jobs[i].exit_code) == class)
-}
-
-/// [`failure_lengths`] using the memoized classes of a [`DatasetIndex`].
 ///
 /// [`DatasetIndex`]: crate::index::DatasetIndex
 #[must_use]
-pub fn failure_lengths_indexed(
-    idx: &crate::index::DatasetIndex<'_>,
-    class: ExitClass,
-) -> Vec<f64> {
-    lengths_where(idx.jobs, |i| idx.exit_class(i) == class)
-}
-
-fn lengths_where(jobs: &[JobRecord], in_class: impl Fn(usize) -> bool) -> Vec<f64> {
-    jobs.iter()
+pub fn failure_lengths_indexed(idx: &crate::index::DatasetIndex<'_>, class: ExitClass) -> Vec<f64> {
+    idx.jobs
+        .iter()
         .enumerate()
-        .filter(|&(i, _)| in_class(i))
+        .filter(|&(i, _)| idx.exit_class(i) == class)
         .map(|(_, j)| j)
         .filter(|j| (j.runtime().as_secs() as f64) < 0.95 * f64::from(j.requested_walltime_s))
         .map(|j| j.runtime().as_secs() as f64)
@@ -69,40 +57,24 @@ fn lengths_where(jobs: &[JobRecord], in_class: impl Fn(usize) -> bool) -> Vec<f6
 /// Classes with fewer than `min_samples` failed jobs are skipped — fitting
 /// a two-parameter family to a handful of points is noise, and the paper
 /// only reports classes with substantial mass.
-#[must_use]
-pub fn fit_by_class(jobs: &[JobRecord], min_samples: usize) -> Vec<ClassFit> {
-    fit_classes(min_samples, |class| failure_lengths(jobs, class))
-}
-
-/// [`fit_by_class`] over a prebuilt [`DatasetIndex`].
 ///
 /// The per-class maximum-likelihood fits are independent, so they run
 /// concurrently under the `parallel` feature; the result order follows
 /// [`ExitClass::FITTED_USER_CLASSES`] either way.
-///
-/// [`DatasetIndex`]: crate::index::DatasetIndex
 #[must_use]
 pub fn fit_by_class_indexed(
     idx: &crate::index::DatasetIndex<'_>,
     min_samples: usize,
 ) -> Vec<ClassFit> {
-    fit_classes(min_samples, |class| failure_lengths_indexed(idx, class))
-}
-
-fn fit_classes(
-    min_samples: usize,
-    lengths_of: impl Fn(ExitClass) -> Vec<f64> + Sync,
-) -> Vec<ClassFit> {
     bgq_par::par_map(&ExitClass::FITTED_USER_CLASSES, |&class| {
-        let lengths = lengths_of(class);
+        let lengths = failure_lengths_indexed(idx, class);
         bgq_obs::add_labeled("fit.samples", class.label(), lengths.len() as u64);
         if lengths.len() < min_samples {
             return None;
         }
-        let selection =
-            bgq_obs::time("fit.select_best", || {
-                select_best(&lengths, &DistKind::PAPER_CANDIDATES)
-            });
+        let selection = bgq_obs::time("fit.select_best", || {
+            select_best(&lengths, &DistKind::PAPER_CANDIDATES)
+        });
         Some(ClassFit {
             class,
             n: lengths.len(),
@@ -116,28 +88,11 @@ fn fit_classes(
 
 /// Interruption intervals: gaps (in seconds) between consecutive failure
 /// *events* (failed-job end times), the other quantity the abstract fits.
-#[must_use]
-pub fn interruption_intervals(jobs: &[JobRecord]) -> Vec<f64> {
-    let mut ends: Vec<_> = jobs
-        .iter()
-        .filter(|j| j.exit_code != 0)
-        .map(|j| j.ended_at)
-        .collect();
-    ends.sort_unstable();
-    gaps_of(&ends)
-}
-
-/// [`interruption_intervals`] over a prebuilt [`DatasetIndex`]: the
-/// failed end times come out of the index's end ordering pre-sorted.
-///
-/// [`DatasetIndex`]: crate::index::DatasetIndex
+/// The failed end times come out of the index's end ordering pre-sorted.
 #[must_use]
 pub fn interruption_intervals_indexed(idx: &crate::index::DatasetIndex<'_>) -> Vec<f64> {
-    gaps_of(&idx.end_times_where(|c| c.is_failure()))
-}
-
-fn gaps_of(ends: &[bgq_model::Timestamp]) -> Vec<f64> {
-    ends.windows(2)
+    idx.end_times_where(|c| c.is_failure())
+        .windows(2)
         .map(|w| (w[1] - w[0]).as_secs() as f64)
         .filter(|&g| g > 0.0)
         .collect()
@@ -146,21 +101,10 @@ fn gaps_of(ends: &[bgq_model::Timestamp]) -> Vec<f64> {
 /// Fits the paper's candidate set to the interruption intervals
 /// (experiment E13's fit panel).
 #[must_use]
-pub fn fit_interruption_intervals(jobs: &[JobRecord]) -> Option<ModelSelection> {
-    fit_gaps(interruption_intervals(jobs))
-}
-
-/// [`fit_interruption_intervals`] over a prebuilt [`DatasetIndex`].
-///
-/// [`DatasetIndex`]: crate::index::DatasetIndex
-#[must_use]
 pub fn fit_interruption_intervals_indexed(
     idx: &crate::index::DatasetIndex<'_>,
 ) -> Option<ModelSelection> {
-    fit_gaps(interruption_intervals_indexed(idx))
-}
-
-fn fit_gaps(gaps: Vec<f64>) -> Option<ModelSelection> {
+    let gaps = interruption_intervals_indexed(idx);
     if gaps.len() < 20 {
         return None;
     }
@@ -170,9 +114,11 @@ fn fit_gaps(gaps: Vec<f64>) -> Option<ModelSelection> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::DatasetIndex;
+    use bgq_logs::store::Dataset;
     use bgq_model::ids::{JobId, ProjectId, UserId};
     use bgq_model::job::{Mode, Queue};
-    use bgq_model::{Block, Timestamp};
+    use bgq_model::{Block, JobRecord, Timestamp};
     use bgq_stats::dist::Dist;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -196,6 +142,15 @@ mod tests {
         }
     }
 
+    /// Runs `f` over the index of a dataset holding only `jobs`.
+    fn with_index<T>(jobs: Vec<JobRecord>, f: impl FnOnce(&DatasetIndex<'_>) -> T) -> T {
+        let ds = Dataset {
+            jobs,
+            ..Dataset::new()
+        };
+        f(&DatasetIndex::build(&ds))
+    }
+
     #[test]
     fn recovers_planted_family_per_class() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -207,7 +162,7 @@ mod tests {
             jobs.push(job_with(139, i * 100, weib.sample(&mut rng).max(1.0) as i64));
             jobs.push(job_with(1, i * 100, expo.sample(&mut rng).max(1.0) as i64));
         }
-        let fits = fit_by_class(&jobs, 100);
+        let fits = with_index(jobs, |idx| fit_by_class_indexed(idx, 100));
         assert_eq!(fits.len(), 2);
         let seg = fits.iter().find(|f| f.class == ExitClass::Segfault).unwrap();
         assert_eq!(seg.best().unwrap().dist.kind(), DistKind::Weibull);
@@ -223,7 +178,7 @@ mod tests {
     #[test]
     fn small_classes_are_skipped() {
         let jobs = vec![job_with(139, 0, 100), job_with(139, 200, 150)];
-        assert!(fit_by_class(&jobs, 100).is_empty());
+        assert!(with_index(jobs, |idx| fit_by_class_indexed(idx, 100)).is_empty());
     }
 
     #[test]
@@ -234,14 +189,14 @@ mod tests {
             job_with(1, 1_000, 500),   // ends 1500
             job_with(134, 9_000, 100), // ends 9100
         ];
-        let gaps = interruption_intervals(&jobs);
+        let gaps = with_index(jobs, interruption_intervals_indexed);
         assert_eq!(gaps, vec![1400.0, 7600.0]);
     }
 
     #[test]
     fn interval_fit_needs_enough_data() {
         let jobs = vec![job_with(139, 0, 100), job_with(1, 1000, 100)];
-        assert!(fit_interruption_intervals(&jobs).is_none());
+        assert!(with_index(jobs, fit_interruption_intervals_indexed).is_none());
     }
 
     #[test]
@@ -256,7 +211,7 @@ mod tests {
             t += gap.sample(&mut rng).max(1.0) as i64;
             jobs.push(job_with(139, t - 10, 10)); // ends exactly at t
         }
-        let sel = fit_interruption_intervals(&jobs).unwrap();
+        let sel = with_index(jobs, fit_interruption_intervals_indexed).unwrap();
         let kind = sel.best().unwrap().dist.kind();
         // Second-to-integer rounding perturbs the sample slightly, so any
         // of the exponential-like families (shape ≈ 1) may win; a heavy

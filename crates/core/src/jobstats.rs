@@ -215,30 +215,18 @@ impl TemporalProfile {
     }
 }
 
-/// Failure-class breakdown (experiment E4): counts per [`ExitClass`].
+/// Failure-class breakdown (experiment E4): counts the memoized per-job
+/// classes of a [`DatasetIndex`] per [`ExitClass`].
 ///
 /// Counts into a fixed array indexed by class discriminant — no
 /// per-class tree lookups — and materializes only the classes present,
 /// matching the historical map-insertion behavior exactly.
-#[must_use]
-pub fn class_breakdown(jobs: &[JobRecord]) -> BTreeMap<ExitClass, usize> {
-    class_breakdown_of(jobs.iter().map(|j| ExitClass::from_exit_code(j.exit_code)))
-}
-
-/// [`class_breakdown`] over a prebuilt [`DatasetIndex`]: counts the
-/// memoized per-job classes instead of reclassifying exit codes.
 ///
 /// [`DatasetIndex`]: crate::index::DatasetIndex
 #[must_use]
-pub fn class_breakdown_indexed(
-    idx: &crate::index::DatasetIndex<'_>,
-) -> BTreeMap<ExitClass, usize> {
-    class_breakdown_of(idx.exit_classes.iter().copied())
-}
-
-fn class_breakdown_of(classes: impl Iterator<Item = ExitClass>) -> BTreeMap<ExitClass, usize> {
+pub fn class_breakdown_indexed(idx: &crate::index::DatasetIndex<'_>) -> BTreeMap<ExitClass, usize> {
     let mut counts = [0usize; ExitClass::ALL.len()];
-    for class in classes {
+    for &class in &idx.exit_classes {
         counts[class as usize] += 1;
     }
     ExitClass::ALL
@@ -248,26 +236,17 @@ fn class_breakdown_of(classes: impl Iterator<Item = ExitClass>) -> BTreeMap<Exit
         .collect()
 }
 
-/// The user-attributed share of failures (the paper's 99.4% headline).
+/// The user-attributed share of failures (the paper's 99.4% headline),
+/// over the memoized classes of a [`DatasetIndex`].
 ///
 /// Returns `None` when there are no failures.
-#[must_use]
-pub fn user_caused_share(jobs: &[JobRecord]) -> Option<f64> {
-    user_caused_share_of(jobs.iter().map(|j| ExitClass::from_exit_code(j.exit_code)))
-}
-
-/// [`user_caused_share`] over the memoized classes of a [`DatasetIndex`].
 ///
 /// [`DatasetIndex`]: crate::index::DatasetIndex
 #[must_use]
 pub fn user_caused_share_indexed(idx: &crate::index::DatasetIndex<'_>) -> Option<f64> {
-    user_caused_share_of(idx.exit_classes.iter().copied())
-}
-
-fn user_caused_share_of(classes: impl Iterator<Item = ExitClass>) -> Option<f64> {
     let mut user = 0usize;
     let mut total = 0usize;
-    for class in classes {
+    for class in &idx.exit_classes {
         if let Some(attr) = class.attribution() {
             total += 1;
             user += usize::from(attr == crate::exitcode::Attribution::User);
@@ -279,6 +258,8 @@ fn user_caused_share_of(classes: impl Iterator<Item = ExitClass>) -> Option<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::DatasetIndex;
+    use bgq_logs::store::Dataset;
     use bgq_model::ids::JobId;
     use bgq_model::job::{Mode, Queue};
     use bgq_model::Block;
@@ -300,6 +281,15 @@ mod tests {
             num_tasks: 1,
             resubmit_of: None,
         }
+    }
+
+    /// Runs `f` over the index of a dataset holding only `jobs`.
+    fn with_index<T>(jobs: Vec<JobRecord>, f: impl FnOnce(&DatasetIndex<'_>) -> T) -> T {
+        let ds = Dataset {
+            jobs,
+            ..Dataset::new()
+        };
+        f(&DatasetIndex::build(&ds))
     }
 
     #[test]
@@ -362,9 +352,10 @@ mod tests {
         for i in 0..99 {
             jobs.push(job(2 + i, 1, 1, 512, 139, 0, 100));
         }
-        let share = user_caused_share(&jobs).unwrap();
+        let share = with_index(jobs, user_caused_share_indexed).unwrap();
         assert!((share - 0.99).abs() < 1e-12);
-        assert!(user_caused_share(&[job(1, 1, 1, 512, 0, 0, 100)]).is_none());
+        let success = vec![job(1, 1, 1, 512, 0, 0, 100)];
+        assert!(with_index(success, user_caused_share_indexed).is_none());
     }
 
     #[test]
@@ -375,7 +366,7 @@ mod tests {
             job(3, 1, 1, 512, 139, 0, 100),
             job(4, 1, 1, 512, 75, 0, 100),
         ];
-        let b = class_breakdown(&jobs);
+        let b = with_index(jobs, class_breakdown_indexed);
         assert_eq!(b[&ExitClass::Success], 1);
         assert_eq!(b[&ExitClass::Segfault], 2);
         assert_eq!(b[&ExitClass::SystemKill], 1);

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use bgq_model::ras::Severity;
-use bgq_model::{Location, RasRecord};
+use bgq_model::Location;
 use bgq_stats::summary::gini;
 
 /// Aggregation granularity for the locality analysis.
@@ -78,25 +78,10 @@ fn truncate(loc: &Location, level: Level) -> Option<Location> {
 }
 
 /// Aggregates events of at least `min_severity` per element at `level`.
-#[must_use]
-pub fn locality_map(ras: &[RasRecord], min_severity: Severity, level: Level) -> LocalityMap {
-    let mut map: BTreeMap<Location, usize> = BTreeMap::new();
-    let mut total = 0usize;
-    for r in ras {
-        if r.severity < min_severity {
-            continue;
-        }
-        if let Some(elem) = truncate(&r.location, level) {
-            *map.entry(elem).or_insert(0) += 1;
-            total += 1;
-        }
-    }
-    rank_counts(map, total, level)
-}
-
-/// [`locality_map`] over a prebuilt [`DatasetIndex`]: walks only the
-/// severity partitions at or above `min_severity` instead of scanning
-/// (and severity-testing) the whole RAS log per granularity level.
+///
+/// Walks only the severity partitions of a [`DatasetIndex`] at or above
+/// `min_severity` instead of scanning (and severity-testing) the whole
+/// RAS log per granularity level.
 ///
 /// [`DatasetIndex`]: crate::index::DatasetIndex
 #[must_use]
@@ -113,11 +98,7 @@ pub fn locality_map_indexed(
             total += 1;
         }
     });
-    rank_counts(map, total, level)
-}
-
-/// Shared ranking tail: sort descending by count, break ties by location.
-fn rank_counts(map: BTreeMap<Location, usize>, total: usize, level: Level) -> LocalityMap {
+    // Sort descending by count, break ties by location.
     let mut counts: Vec<(Location, usize)> = map.into_iter().collect();
     counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     LocalityMap {
@@ -130,9 +111,11 @@ fn rank_counts(map: BTreeMap<Location, usize>, total: usize, level: Level) -> Lo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::DatasetIndex;
+    use bgq_logs::store::Dataset;
     use bgq_model::ids::RecId;
     use bgq_model::ras::{Category, Component, MsgId, MsgText};
-    use bgq_model::Timestamp;
+    use bgq_model::{RasRecord, Timestamp};
 
     fn event(t: i64, loc: &str, sev: Severity) -> RasRecord {
         RasRecord {
@@ -148,6 +131,15 @@ mod tests {
         }
     }
 
+    /// [`locality_map_indexed`] over a dataset holding only `ras`.
+    fn map_of(ras: Vec<RasRecord>, min_severity: Severity, level: Level) -> LocalityMap {
+        let ds = Dataset {
+            ras,
+            ..Dataset::new()
+        };
+        locality_map_indexed(&DatasetIndex::build(&ds), min_severity, level)
+    }
+
     #[test]
     fn board_map_counts_by_board() {
         let ras = vec![
@@ -157,7 +149,7 @@ mod tests {
             event(4, "R17", Severity::Fatal), // coarser than board: dropped
             event(5, "R00-M0-N03", Severity::Info), // below severity
         ];
-        let m = locality_map(&ras, Severity::Fatal, Level::Board);
+        let m = map_of(ras, Severity::Fatal, Level::Board);
         assert_eq!(m.total, 3);
         assert_eq!(m.counts[0].0.to_string(), "R00-M0-N03");
         assert_eq!(m.counts[0].1, 2);
@@ -171,7 +163,7 @@ mod tests {
             event(2, "R17-M0-N00", Severity::Fatal),
             event(3, "R00", Severity::Fatal),
         ];
-        let m = locality_map(&ras, Severity::Fatal, Level::Rack);
+        let m = map_of(ras, Severity::Fatal, Level::Rack);
         assert_eq!(m.total, 3);
         assert_eq!(m.counts[0].1, 2); // R17
     }
@@ -184,7 +176,7 @@ mod tests {
         }
         ras.push(event(100, "R01-M0-N00", Severity::Fatal));
         ras.push(event(101, "R02-M0-N00", Severity::Fatal));
-        let m = locality_map(&ras, Severity::Fatal, Level::Board);
+        let m = map_of(ras, Severity::Fatal, Level::Board);
         let hot = m.hot_elements(2.0);
         assert_eq!(hot.len(), 1);
         assert_eq!(hot[0].to_string(), "R00-M0-N00");
@@ -193,7 +185,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let m = locality_map(&[], Severity::Fatal, Level::Board);
+        let m = map_of(Vec::new(), Severity::Fatal, Level::Board);
         assert_eq!(m.total, 0);
         assert_eq!(m.top_k_share(5), 0.0);
         assert!(m.hot_elements(1.0).is_empty());

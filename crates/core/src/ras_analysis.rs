@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use bgq_logs::join::{attribute_events, JoinResult};
+use bgq_logs::join::JoinResult;
 use bgq_model::ras::{Category, Component, MsgId, Severity};
 use bgq_model::{JobRecord, RasRecord};
 use bgq_stats::correlation::{pearson, spearman};
@@ -63,19 +63,10 @@ pub struct UserEventCorrelation {
 /// Joins events (of at least `min_severity`) to jobs and correlates the
 /// per-user attributed-event counts with the user's core-hours and job
 /// count — the abstract's "high correlation with users and core-hours".
-#[must_use]
-pub fn user_event_correlation(
-    jobs: &[JobRecord],
-    ras: &[RasRecord],
-    min_severity: Severity,
-) -> UserEventCorrelation {
-    correlation_from(jobs, &attribute_events(jobs, ras, min_severity))
-}
-
-/// [`user_event_correlation`] over a prebuilt [`DatasetIndex`]: reads
-/// the memoized join, so [`affected_jobs_indexed`] at the same severity
-/// shares it instead of re-running the attribution (the unindexed pair
-/// of calls used to run the join twice).
+///
+/// Reads the memoized join of a [`DatasetIndex`], so
+/// [`affected_jobs_indexed`] at the same severity shares it instead of
+/// re-running the attribution.
 #[must_use]
 pub fn user_event_correlation_indexed(
     idx: &DatasetIndex<'_>,
@@ -113,15 +104,8 @@ fn correlation_from(jobs: &[JobRecord], join: &JoinResult) -> UserEventCorrelati
 }
 
 /// Jobs affected by at least one event of the given severity, with the
-/// total number of attribution pairs.
-#[must_use]
-pub fn affected_jobs(jobs: &[JobRecord], ras: &[RasRecord], min_severity: Severity) -> (usize, usize) {
-    let join = attribute_events(jobs, ras, min_severity);
-    (join.affected_jobs().len(), join.len())
-}
-
-/// [`affected_jobs`] over a prebuilt [`DatasetIndex`], sharing the
-/// memoized join with every other stage at this severity.
+/// total number of attribution pairs. Shares the memoized join of a
+/// [`DatasetIndex`] with every other stage at this severity.
 #[must_use]
 pub fn affected_jobs_indexed(idx: &DatasetIndex<'_>, min_severity: Severity) -> (usize, usize) {
     let join = idx.join(min_severity);
@@ -131,6 +115,8 @@ pub fn affected_jobs_indexed(idx: &DatasetIndex<'_>, min_severity: Severity) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgq_logs::join::attribute_events;
+    use bgq_logs::store::Dataset;
     use bgq_model::ids::{JobId, ProjectId, RecId, UserId};
     use bgq_model::job::{Mode, Queue};
     use bgq_model::ras::MsgText;
@@ -187,8 +173,8 @@ mod tests {
     fn correlation_tracks_usage() {
         // User 1 runs 10× the work of user 2 and accrues events in
         // proportion.
-        let mut jobs = Vec::new();
-        let mut ras = Vec::new();
+        let mut ds = Dataset::new();
+        let (jobs, ras) = (&mut ds.jobs, &mut ds.ras);
         let mut rec = 0;
         for u in 1..=4u32 {
             let n_jobs = u as usize * 3;
@@ -202,7 +188,7 @@ mod tests {
                 ras.push(event(rec, start + 500, &mid.to_string(), Severity::Warn, 1));
             }
         }
-        let c = user_event_correlation(&jobs, &ras, Severity::Warn);
+        let c = user_event_correlation_indexed(&DatasetIndex::build(&ds), Severity::Warn);
         assert!(c.pearson_core_hours.unwrap() > 0.95, "{c:?}");
         assert!(c.pearson_jobs.unwrap() > 0.95);
         assert_eq!(c.rows.len(), 4);
@@ -211,13 +197,16 @@ mod tests {
     #[test]
     fn affected_jobs_counts_unique_jobs() {
         let block = Block::new(0, 2).unwrap();
-        let jobs = vec![job(1, 1, block, 0, 1_000)];
-        let ras = vec![
-            event(1, 100, "R00-M0", Severity::Fatal, 1),
-            event(2, 200, "R00-M0", Severity::Fatal, 1),
-            event(3, 5_000, "R00-M0", Severity::Fatal, 1), // after end
-        ];
-        let (jobs_hit, pairs) = affected_jobs(&jobs, &ras, Severity::Fatal);
+        let ds = Dataset {
+            jobs: vec![job(1, 1, block, 0, 1_000)],
+            ras: vec![
+                event(1, 100, "R00-M0", Severity::Fatal, 1),
+                event(2, 200, "R00-M0", Severity::Fatal, 1),
+                event(3, 5_000, "R00-M0", Severity::Fatal, 1), // after end
+            ],
+            ..Dataset::new()
+        };
+        let (jobs_hit, pairs) = affected_jobs_indexed(&DatasetIndex::build(&ds), Severity::Fatal);
         assert_eq!(jobs_hit, 1);
         assert_eq!(pairs, 2);
     }
@@ -227,7 +216,7 @@ mod tests {
         // Same layout as `correlation_tracks_usage`, but driven through
         // the index: the correlation and the affected-job count at the
         // same severity must read one JoinResult, computed once.
-        let mut ds = bgq_logs::store::Dataset::new();
+        let mut ds = Dataset::new();
         let mut rec = 0;
         for u in 1..=4u32 {
             for k in 0..(u as usize * 3) {
@@ -241,7 +230,7 @@ mod tests {
                     .push(event(rec, start + 500, &mid.to_string(), Severity::Warn, 1));
             }
         }
-        let idx = crate::index::DatasetIndex::build(&ds);
+        let idx = DatasetIndex::build(&ds);
         assert!(idx.join_cached(Severity::Warn).is_none());
         let c = user_event_correlation_indexed(&idx, Severity::Warn);
         let first = idx.join_cached(Severity::Warn).expect("memoized");
@@ -250,17 +239,19 @@ mod tests {
             std::ptr::eq(first, idx.join_cached(Severity::Warn).unwrap()),
             "second caller must reuse the first caller's join"
         );
-        // Both indexed results agree with the unindexed slice paths.
-        assert_eq!(c, user_event_correlation(&ds.jobs, &ds.ras, Severity::Warn));
+        // Both indexed results agree with the unindexed join.
+        let direct = attribute_events(&ds.jobs, &ds.ras, Severity::Warn);
+        assert_eq!(c, correlation_from(&ds.jobs, &direct));
         assert_eq!(
             (jobs_hit, pairs),
-            affected_jobs(&ds.jobs, &ds.ras, Severity::Warn)
+            (direct.affected_jobs().len(), direct.len())
         );
     }
 
     #[test]
     fn empty_logs_are_harmless() {
-        let c = user_event_correlation(&[], &[], Severity::Info);
+        let c =
+            user_event_correlation_indexed(&DatasetIndex::build(&Dataset::new()), Severity::Info);
         assert!(c.rows.is_empty());
         assert!(c.pearson_core_hours.is_none());
         let b = breakdown(&[], 5);

@@ -4,8 +4,10 @@
 use bgq_core::exitcode::ExitClass;
 use bgq_core::failure_rates::{by_scale, by_tasks};
 use bgq_core::filtering::{filter_events, FilterConfig};
-use bgq_core::jobstats::class_breakdown;
-use bgq_core::locality::{locality_map, Level};
+use bgq_core::index::DatasetIndex;
+use bgq_core::jobstats::class_breakdown_indexed;
+use bgq_core::locality::{locality_map_indexed, Level};
+use bgq_logs::store::Dataset;
 use bgq_model::ids::{JobId, ProjectId, RecId, UserId};
 use bgq_model::job::{Mode, Queue};
 use bgq_model::ras::{Category, Component, MsgId, Severity};
@@ -142,11 +144,12 @@ proptest! {
 
     #[test]
     fn class_breakdown_conserves_jobs(jobs in proptest::collection::vec(arb_job(), 0..100)) {
-        let breakdown = class_breakdown(&jobs);
+        let ds = Dataset { jobs, ..Dataset::new() };
+        let breakdown = class_breakdown_indexed(&DatasetIndex::build(&ds));
         let total: usize = breakdown.values().sum();
-        prop_assert_eq!(total, jobs.len());
+        prop_assert_eq!(total, ds.jobs.len());
         // Every class is consistent with its exit codes.
-        for j in &jobs {
+        for j in &ds.jobs {
             let class = ExitClass::from_exit_code(j.exit_code);
             prop_assert!(breakdown[&class] >= 1);
         }
@@ -169,7 +172,8 @@ proptest! {
     #[test]
     fn locality_shares_are_monotone_in_k(mut ras in proptest::collection::vec(arb_ras(), 0..150)) {
         ras.sort_by_key(|r| (r.event_time, r.rec_id));
-        let map = locality_map(&ras, Severity::Fatal, Level::Rack);
+        let ds = Dataset { ras, ..Dataset::new() };
+        let map = locality_map_indexed(&DatasetIndex::build(&ds), Severity::Fatal, Level::Rack);
         let mut prev = 0.0;
         for k in 1..=10 {
             let share = map.top_k_share(k);

@@ -5,22 +5,17 @@
 //! containing `,`, `"`, `\r`, or `\n` are quoted, embedded quotes are
 //! doubled, and the reader accepts embedded newlines inside quoted fields.
 //!
-//! Two readers share one parser:
+//! [`CsvScanner`] is the streaming, zero-allocation reader. Each call to
+//! [`CsvScanner::read_record`] reuses one raw line buffer and one
+//! unescaped field buffer and yields a [`RecordView`] of `&str` slices
+//! into them; after warm-up a scan performs no per-record heap
+//! allocation. The view borrows the scanner, so the borrow checker
+//! enforces the streaming contract (a view dies before the next record
+//! is read).
 //!
-//! * [`CsvScanner`] — the streaming, zero-allocation path. Each call to
-//!   [`CsvScanner::read_record`] reuses one raw line buffer and one
-//!   unescaped field buffer and yields a [`RecordView`] of `&str` slices
-//!   into them; after warm-up a scan performs no per-record heap
-//!   allocation. The view borrows the scanner, so the borrow checker
-//!   enforces the streaming contract (a view dies before the next record
-//!   is read).
-//! * [`CsvReader`] — the owned compatibility path, a thin wrapper that
-//!   copies each view into a `Vec<String>`. The differential-oracle
-//!   harness and the round-trip tests use it as the naive reference.
-//!
-//! Both paths strip a UTF-8 byte-order mark from the start of the input,
-//! accept CRLF record terminators, preserve CRLF (and bare newlines)
-//! inside quoted fields, and skip blank lines between records.
+//! The scanner strips a UTF-8 byte-order mark from the start of the
+//! input, accepts CRLF record terminators, preserves CRLF (and bare
+//! newlines) inside quoted fields, and skips blank lines between records.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -295,71 +290,6 @@ impl<R: BufRead> CsvScanner<R> {
     }
 }
 
-/// A streaming CSV reader over any [`BufRead`], yielding owned records.
-///
-/// Thin wrapper over [`CsvScanner`]: the scan itself reuses one record
-/// buffer across records; only the returned `Vec<String>` is fresh.
-#[derive(Debug)]
-pub struct CsvReader<R> {
-    scanner: CsvScanner<R>,
-}
-
-impl<R: BufRead> CsvReader<R> {
-    /// Wraps a buffered reader.
-    pub fn new(inner: R) -> Self {
-        CsvReader {
-            scanner: CsvScanner::new(inner),
-        }
-    }
-
-    /// Reads the next record; `Ok(None)` at end of input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CsvError::Malformed`] on an unterminated quote and
-    /// [`CsvError::Io`] on read failures.
-    pub fn read_record(&mut self) -> Result<Option<Vec<String>>, CsvError> {
-        Ok(self.scanner.read_record()?.map(|view| view.to_vec()))
-    }
-
-    /// Reads every remaining record.
-    ///
-    /// # Errors
-    ///
-    /// See [`CsvReader::read_record`].
-    pub fn read_all(&mut self) -> Result<Vec<Vec<String>>, CsvError> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.read_record()? {
-            out.push(rec);
-        }
-        Ok(out)
-    }
-
-    /// Reads every remaining record, skipping structurally malformed
-    /// ones instead of failing; returns the parsed records and how many
-    /// were rejected.
-    ///
-    /// A [`CsvError::Malformed`] record leaves the reader positioned at
-    /// the next line (the offending text was already consumed), so the
-    /// scan continues past it. I/O errors are still fatal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CsvError::Io`] on read failures.
-    pub fn read_all_counting(&mut self) -> Result<(Vec<Vec<String>>, usize), CsvError> {
-        let mut out = Vec::new();
-        let mut rejected = 0usize;
-        loop {
-            match self.read_record() {
-                Ok(Some(rec)) => out.push(rec),
-                Ok(None) => return Ok((out, rejected)),
-                Err(CsvError::Malformed { .. }) => rejected += 1,
-                Err(e @ CsvError::Io(_)) => return Err(e),
-            }
-        }
-    }
-}
-
 fn count_quotes(s: &[u8]) -> usize {
     s.iter().filter(|&&b| b == b'"').count()
 }
@@ -439,10 +369,9 @@ mod tests {
     fn roundtrip(fields: &[&str]) -> Vec<String> {
         let mut buf = Vec::new();
         write_record(&mut buf, fields).unwrap();
-        let mut reader = CsvReader::new(BufReader::new(&buf[..]));
-        let rec = reader.read_record().unwrap().unwrap();
-        assert!(reader.read_record().unwrap().is_none());
-        rec
+        let mut rows = scan_all(std::str::from_utf8(&buf).unwrap()).unwrap();
+        assert_eq!(rows.len(), 1);
+        rows.remove(0)
     }
 
     /// Scans `text` with the borrowing scanner, copying each view out.
@@ -453,6 +382,22 @@ mod tests {
             out.push(view.to_vec());
         }
         Ok(out)
+    }
+
+    /// Scans `text` the way a lenient load does: malformed records are
+    /// counted and skipped, I/O errors are fatal.
+    fn scan_counting(text: &str) -> (Vec<Vec<String>>, usize) {
+        let mut scanner = CsvScanner::new(BufReader::new(text.as_bytes()));
+        let mut rows = Vec::new();
+        let mut rejected = 0usize;
+        loop {
+            match scanner.read_record() {
+                Ok(Some(view)) => rows.push(view.to_vec()),
+                Ok(None) => return (rows, rejected),
+                Err(CsvError::Malformed { .. }) => rejected += 1,
+                Err(e) => panic!("unexpected i/o error: {e}"),
+            }
+        }
     }
 
     #[test]
@@ -478,80 +423,61 @@ mod tests {
 
     #[test]
     fn multiple_records_and_blank_lines() {
-        let text = "a,b\n\nc,d\n";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
-        assert_eq!(reader.read_record().unwrap().unwrap(), vec!["a", "b"]);
-        assert_eq!(reader.read_record().unwrap().unwrap(), vec!["c", "d"]);
-        assert!(reader.read_record().unwrap().is_none());
+        assert_eq!(
+            scan_all("a,b\n\nc,d\n").unwrap(),
+            vec![vec!["a", "b"], vec!["c", "d"]]
+        );
+        assert_eq!(scan_all("1,2\n3,4\n5,6\n").unwrap().len(), 3);
     }
 
     #[test]
     fn missing_trailing_newline() {
-        let text = "a,b";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
-        assert_eq!(reader.read_record().unwrap().unwrap(), vec!["a", "b"]);
+        assert_eq!(scan_all("a,b").unwrap(), vec![vec!["a", "b"]]);
     }
 
     #[test]
     fn unterminated_quote_is_an_error() {
-        let text = "\"abc\n";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
         assert!(matches!(
-            reader.read_record(),
+            scan_all("\"abc\n"),
             Err(CsvError::Malformed { .. })
         ));
     }
 
     #[test]
     fn garbage_after_quote_is_an_error() {
-        let text = "\"abc\"x,y\n";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
         assert!(matches!(
-            reader.read_record(),
+            scan_all("\"abc\"x,y\n"),
             Err(CsvError::Malformed { .. })
         ));
     }
 
     #[test]
     fn crlf_line_endings() {
-        let text = "a,b\r\nc,d\r\n";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
-        assert_eq!(reader.read_record().unwrap().unwrap(), vec!["a", "b"]);
-        assert_eq!(reader.read_record().unwrap().unwrap(), vec!["c", "d"]);
+        assert_eq!(
+            scan_all("a,b\r\nc,d\r\n").unwrap(),
+            vec![vec!["a", "b"], vec!["c", "d"]]
+        );
     }
 
     #[test]
-    fn read_all_collects_everything() {
-        let text = "1,2\n3,4\n5,6\n";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
-        assert_eq!(reader.read_all().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn read_all_counting_skips_malformed_records() {
+    fn counting_scan_skips_malformed_records() {
         // Record 2 has garbage after a closing quote; records 1 and 3
         // survive the scan.
-        let text = "a,b\n\"x\"y,z\nc,d\n";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
-        let (records, rejected) = reader.read_all_counting().unwrap();
+        let (records, rejected) = scan_counting("a,b\n\"x\"y,z\nc,d\n");
         assert_eq!(records, vec![vec!["a", "b"], vec!["c", "d"]]);
         assert_eq!(rejected, 1);
     }
 
     #[test]
-    fn read_all_counting_handles_unterminated_quote_at_eof() {
-        let text = "a,b\n\"unterminated";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
-        let (records, rejected) = reader.read_all_counting().unwrap();
+    fn counting_scan_handles_unterminated_quote_at_eof() {
+        let (records, rejected) = scan_counting("a,b\n\"unterminated");
         assert_eq!(records, vec![vec!["a", "b"]]);
         assert_eq!(rejected, 1);
     }
 
     #[test]
-    fn read_all_counting_clean_input_rejects_nothing() {
-        let text = "1,2\n3,4\n";
-        let mut reader = CsvReader::new(BufReader::new(text.as_bytes()));
-        let (records, rejected) = reader.read_all_counting().unwrap();
+    fn counting_scan_of_clean_input_rejects_nothing() {
+        let (records, rejected) = scan_counting("1,2\n3,4\n");
         assert_eq!(records.len(), 2);
         assert_eq!(rejected, 0);
     }
@@ -559,12 +485,16 @@ mod tests {
     // -- Borrowing scanner ------------------------------------------------
 
     #[test]
-    fn scanner_matches_owned_reader() {
+    fn scanner_unescapes_quoted_fields() {
         let text = "a,b,c\n\"q,uo\"\"ted\",plain\n\nlast,\n";
-        let owned = CsvReader::new(BufReader::new(text.as_bytes()))
-            .read_all()
-            .unwrap();
-        assert_eq!(scan_all(text).unwrap(), owned);
+        assert_eq!(
+            scan_all(text).unwrap(),
+            vec![
+                vec!["a", "b", "c"],
+                vec!["q,uo\"ted", "plain"],
+                vec!["last", ""],
+            ]
+        );
     }
 
     #[test]
@@ -598,13 +528,12 @@ mod tests {
     }
 
     #[test]
-    fn utf8_bom_on_header_is_stripped_by_both_paths() {
+    fn utf8_bom_on_header_is_stripped() {
         let text = "\u{feff}job_id,user\n1,2\n";
-        let owned = CsvReader::new(BufReader::new(text.as_bytes()))
-            .read_all()
-            .unwrap();
-        assert_eq!(owned[0], vec!["job_id", "user"], "owned path kept the BOM");
-        assert_eq!(scan_all(text).unwrap(), owned);
+        assert_eq!(
+            scan_all(text).unwrap(),
+            vec![vec!["job_id", "user"], vec!["1", "2"]]
+        );
         // A BOM mid-file is content, not a BOM.
         let mid = "a,b\n\u{feff}c,d\n";
         let rows = scan_all(mid).unwrap();
@@ -618,36 +547,19 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let rows = scan_all(&text).unwrap();
         assert_eq!(rows, vec![vec!["head\r\ntail".to_owned(), "x".to_owned()]]);
-        // Same through the owned reader.
-        let owned = CsvReader::new(BufReader::new(text.as_bytes()))
-            .read_all()
-            .unwrap();
-        assert_eq!(owned, rows);
     }
 
     #[test]
-    fn scanner_counts_rejects_exactly_like_owned_reader() {
+    fn scanner_counts_rejects_and_keeps_clean_rows() {
         // Mix of clean rows, garbage-after-quote, and an unterminated
-        // quote at EOF; both paths must agree on accepted rows and the
-        // reject count.
+        // quote at EOF.
         let text = "h1,h2\nok,row\n\"x\"y,z\nfine,\"quoted\"\n\"open";
-        let (owned_rows, owned_rejects) = CsvReader::new(BufReader::new(text.as_bytes()))
-            .read_all_counting()
-            .unwrap();
-        let mut scanner = CsvScanner::new(BufReader::new(text.as_bytes()));
-        let mut scanned_rows = Vec::new();
-        let mut scanned_rejects = 0usize;
-        loop {
-            match scanner.read_record() {
-                Ok(Some(view)) => scanned_rows.push(view.to_vec()),
-                Ok(None) => break,
-                Err(CsvError::Malformed { .. }) => scanned_rejects += 1,
-                Err(e) => panic!("unexpected i/o error: {e}"),
-            }
-        }
-        assert_eq!(scanned_rows, owned_rows);
-        assert_eq!(scanned_rejects, owned_rejects);
-        assert_eq!(scanned_rejects, 2);
+        let (rows, rejected) = scan_counting(text);
+        assert_eq!(
+            rows,
+            vec![vec!["h1", "h2"], vec!["ok", "row"], vec!["fine", "quoted"]]
+        );
+        assert_eq!(rejected, 2);
     }
 
     #[test]

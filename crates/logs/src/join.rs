@@ -176,31 +176,6 @@ pub fn attribute_events_with(
     JoinResult { pairs }
 }
 
-/// Reference implementation of [`attribute_events`]: quadratic scan.
-/// Exposed for the ablation bench and differential tests.
-#[must_use]
-pub fn attribute_events_brute(
-    jobs: &[JobRecord],
-    events: &[RasRecord],
-    min_severity: Severity,
-) -> JoinResult {
-    let mut pairs = Vec::new();
-    for (event_idx, ev) in events.iter().enumerate() {
-        if ev.severity < min_severity {
-            continue;
-        }
-        for (job_idx, job) in jobs.iter().enumerate() {
-            if job.started_at <= ev.event_time
-                && ev.event_time < job.ended_at
-                && job.block.contains(&ev.location)
-            {
-                pairs.push(Attribution { event_idx, job_idx });
-            }
-        }
-    }
-    JoinResult { pairs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,45 +258,5 @@ mod tests {
         let join = attribute_events(&jobs, &events, Severity::Fatal);
         assert_eq!(join.len(), 2);
         assert_eq!(join.affected_jobs(), vec![0, 1]);
-    }
-
-    #[test]
-    fn indexed_join_matches_brute_force() {
-        let mut jobs = Vec::new();
-        let mut events = Vec::new();
-        // Deterministic pseudo-random layout.
-        let mut state = 99u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as i64
-        };
-        for i in 0..120 {
-            let start = next() % 50_000;
-            let len = 100 + next() % 20_000;
-            let first = (next() % 90) as u16;
-            let mids = 1 + (next() % 6) as u16;
-            let block = Block::new(first, mids.min(96 - first)).unwrap();
-            jobs.push(job(i, start, start + len, block));
-        }
-        for i in 0..300 {
-            let t = next() % 75_000;
-            let rack = (next() % 48) as u8;
-            let sev = match next() % 3 {
-                0 => Severity::Info,
-                1 => Severity::Warn,
-                _ => Severity::Fatal,
-            };
-            let loc = format!("R{}{:X}-M{}", rack / 16, rack % 16, next() % 2);
-            events.push(event(i, t, &loc, sev));
-        }
-        for sev in Severity::ALL {
-            let fast = attribute_events(&jobs, &events, sev);
-            let brute = attribute_events_brute(&jobs, &events, sev);
-            let mut f = fast.pairs.clone();
-            let mut b = brute.pairs.clone();
-            f.sort_by_key(|a| (a.event_idx, a.job_idx));
-            b.sort_by_key(|a| (a.event_idx, a.job_idx));
-            assert_eq!(f, b, "severity {sev}");
-        }
     }
 }

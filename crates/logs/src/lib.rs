@@ -30,8 +30,8 @@ pub mod schema;
 pub mod snapshot;
 pub mod store;
 
-pub use csv::{CsvReader, CsvScanner, RecordView};
+pub use csv::{CsvScanner, RecordView};
 pub use interval::IntervalIndex;
-pub use join::{attribute_events, attribute_events_brute, Attribution, JoinResult};
-pub use schema::{ColumnMap, Fields, Record, SchemaError, SchemaErrorKind};
+pub use join::{attribute_events, Attribution, JoinResult};
+pub use schema::{ColumnMap, Record, SchemaError, SchemaErrorKind};
 pub use store::{Dataset, StoreError};

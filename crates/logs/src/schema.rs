@@ -6,10 +6,8 @@
 //!
 //! Decoding is column-mapped: a [`ColumnMap`] is resolved **once** per
 //! table from the file's header row, and every row decode then reaches
-//! each field by array index — no per-row header scan. Rows arrive either
-//! as borrowed [`RecordView`]s from the streaming scanner or as owned
-//! `&[String]` slices from the compatibility path; both implement
-//! [`Fields`].
+//! each field by array index — no per-row header scan. Rows arrive as
+//! borrowed [`RecordView`]s from the streaming scanner.
 
 use std::fmt;
 
@@ -71,27 +69,6 @@ impl fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-/// A row of fields addressable by file-column index.
-///
-/// Implemented for the streaming scanner's borrowed [`RecordView`] and
-/// for owned `&[String]` rows, so one decoder serves both paths.
-pub trait Fields {
-    /// Field at file-column `i`, or `None` past the end of the row.
-    fn field(&self, i: usize) -> Option<&str>;
-}
-
-impl Fields for &[String] {
-    fn field(&self, i: usize) -> Option<&str> {
-        self.get(i).map(String::as_str)
-    }
-}
-
-impl Fields for RecordView<'_> {
-    fn field(&self, i: usize) -> Option<&str> {
-        self.get(i)
-    }
-}
-
 /// Mapping from a table's declared column order to a file's actual
 /// column order, resolved once per table from the header row.
 ///
@@ -112,13 +89,6 @@ enum MapRepr {
 }
 
 impl ColumnMap {
-    /// The identity mapping over `len` columns (file order == declared
-    /// order). This is what [`Record::decode`] uses for encoded rows.
-    #[must_use]
-    pub fn identity(len: usize) -> Self {
-        ColumnMap(MapRepr::Identity(len))
-    }
-
     /// Resolves the mapping for record type `R` from a file header row.
     ///
     /// # Errors
@@ -219,39 +189,29 @@ pub trait Record: Sized {
     /// Encodes to one CSV row (same order as [`Record::HEADER`]).
     fn encode(&self) -> Vec<String>;
 
-    /// Decodes from one row of fields, using a [`ColumnMap`] resolved
-    /// from the table's header. Works on borrowed scanner views and
-    /// owned rows alike.
+    /// Decodes from one scanned row, using a [`ColumnMap`] resolved
+    /// from the table's header.
     ///
     /// # Errors
     ///
     /// Returns [`SchemaError`] naming the first offending field.
-    fn decode_fields<F: Fields>(fields: &F, cols: &ColumnMap) -> Result<Self, SchemaError>;
-
-    /// Decodes from one owned CSV row in declared column order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemaError`] naming the first offending field.
-    fn decode(row: &[String]) -> Result<Self, SchemaError> {
-        Self::decode_fields(&row, &ColumnMap::identity(Self::HEADER.len()))
-    }
+    fn decode_fields(fields: &RecordView<'_>, cols: &ColumnMap) -> Result<Self, SchemaError>;
 }
 
 /// Field accessor bound to one row: every lookup is
 /// `fields[cols.file_index(decl)]` — an array index, not a header scan.
-struct Row<'a, F> {
+struct Row<'a> {
     table: &'static str,
     header: &'static [&'static str],
     cols: &'a ColumnMap,
-    fields: &'a F,
+    fields: RecordView<'a>,
 }
 
-impl<'a, F: Fields> Row<'a, F> {
+impl<'a> Row<'a> {
     fn get(&self, decl: usize, name: &'static str) -> Result<&'a str, SchemaError> {
         debug_assert_eq!(self.header[decl], name, "declared index out of sync");
         self.fields
-            .field(self.cols.file_index(decl))
+            .get(self.cols.file_index(decl))
             .ok_or(SchemaError {
                 table: self.table,
                 field: name,
@@ -275,7 +235,7 @@ impl<'a, F: Fields> Row<'a, F> {
     }
 }
 
-fn row<'a, R: Record, F: Fields>(cols: &'a ColumnMap, fields: &'a F) -> Row<'a, F> {
+fn row<'a, R: Record>(cols: &'a ColumnMap, fields: RecordView<'a>) -> Row<'a> {
     Row {
         table: R::TABLE,
         header: R::HEADER,
@@ -324,8 +284,8 @@ impl Record for JobRecord {
         ]
     }
 
-    fn decode_fields<F: Fields>(fields: &F, cols: &ColumnMap) -> Result<Self, SchemaError> {
-        let r = row::<Self, F>(cols, fields);
+    fn decode_fields(fields: &RecordView<'_>, cols: &ColumnMap) -> Result<Self, SchemaError> {
+        let r = row::<Self>(cols, *fields);
         let job_id: JobId = r.parse(0, "job_id")?;
         let resubmit_raw: u64 = r.parse(13, "resubmit_of")?;
         // A lineage link must point strictly backwards; a forward or
@@ -385,8 +345,8 @@ impl Record for RasRecord {
         ]
     }
 
-    fn decode_fields<F: Fields>(fields: &F, cols: &ColumnMap) -> Result<Self, SchemaError> {
-        let r = row::<Self, F>(cols, fields);
+    fn decode_fields(fields: &RecordView<'_>, cols: &ColumnMap) -> Result<Self, SchemaError> {
+        let r = row::<Self>(cols, *fields);
         Ok(RasRecord {
             rec_id: r.parse(0, "rec_id")?,
             msg_id: r.parse(1, "msg_id")?,
@@ -397,7 +357,7 @@ impl Record for RasRecord {
             location: r.parse(6, "location")?,
             count: r.parse(7, "count")?,
             // Interned straight from the borrowed field slice: no
-            // intermediate String on either decode path.
+            // intermediate String.
             message: MsgText::intern(r.get(8, "message")?),
         })
     }
@@ -422,8 +382,8 @@ impl Record for TaskRecord {
         ]
     }
 
-    fn decode_fields<F: Fields>(fields: &F, cols: &ColumnMap) -> Result<Self, SchemaError> {
-        let r = row::<Self, F>(cols, fields);
+    fn decode_fields(fields: &RecordView<'_>, cols: &ColumnMap) -> Result<Self, SchemaError> {
+        let r = row::<Self>(cols, *fields);
         Ok(TaskRecord {
             task_id: r.parse(0, "task_id")?,
             job_id: r.parse(1, "job_id")?,
@@ -460,8 +420,8 @@ impl Record for IoRecord {
         ]
     }
 
-    fn decode_fields<F: Fields>(fields: &F, cols: &ColumnMap) -> Result<Self, SchemaError> {
-        let r = row::<Self, F>(cols, fields);
+    fn decode_fields(fields: &RecordView<'_>, cols: &ColumnMap) -> Result<Self, SchemaError> {
+        let r = row::<Self>(cols, *fields);
         Ok(IoRecord {
             job_id: r.parse(0, "job_id")?,
             bytes_read: r.parse(1, "bytes_read")?,
@@ -473,70 +433,10 @@ impl Record for IoRecord {
     }
 }
 
-/// Resolves the [`ColumnMap`] for `R` from an owned header row, or the
-/// standard header-level error if the table has no rows at all.
-fn resolve_owned_header<R: Record>(rows: &[Vec<String>]) -> Result<ColumnMap, SchemaError> {
-    let Some(header) = rows.first() else {
-        return Err(SchemaError {
-            table: R::TABLE,
-            field: "header",
-            value: None,
-            kind: SchemaErrorKind::Header,
-        });
-    };
-    let header: Vec<&str> = header.iter().map(String::as_str).collect();
-    ColumnMap::resolve::<R>(&header)
-}
-
-/// Convenience: decodes a whole table, validating the header row.
-///
-/// The header may be a permutation of [`Record::HEADER`]; the resolved
-/// [`ColumnMap`] routes each declared column to its file position.
-///
-/// # Errors
-///
-/// Returns a [`SchemaError`] on a header mismatch or any undecodable row.
-pub fn decode_table<R: Record>(rows: &[Vec<String>]) -> Result<Vec<R>, SchemaError> {
-    let cols = resolve_owned_header::<R>(rows)?;
-    rows[1..]
-        .iter()
-        .map(|r| R::decode_fields(&r.as_slice(), &cols))
-        .collect()
-}
-
-/// Like [`decode_table`], but skips undecodable rows instead of failing:
-/// returns the decoded records, the number of rejected rows, and the
-/// first rejection (for diagnostics).
-///
-/// A header mismatch is still a hard error — a wrong header means the
-/// *file* is the wrong table, not that some rows are dirty.
-///
-/// # Errors
-///
-/// Returns a [`SchemaError`] only on a header mismatch.
-#[allow(clippy::type_complexity)]
-pub fn decode_table_counting<R: Record>(
-    rows: &[Vec<String>],
-) -> Result<(Vec<R>, usize, Option<SchemaError>), SchemaError> {
-    let cols = resolve_owned_header::<R>(rows)?;
-    let mut out = Vec::with_capacity(rows.len().saturating_sub(1));
-    let mut rejected = 0usize;
-    let mut first_error = None;
-    for row in &rows[1..] {
-        match R::decode_fields(&row.as_slice(), &cols) {
-            Ok(rec) => out.push(rec),
-            Err(e) => {
-                rejected += 1;
-                first_error.get_or_insert(e);
-            }
-        }
-    }
-    Ok((out, rejected, first_error))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::{write_record, CsvScanner};
     use bgq_model::ids::{JobId, ProjectId, RecId, TaskId, UserId};
     use bgq_model::job::{Mode, Queue};
     use bgq_model::ras::{Category, Component, MsgId, Severity};
@@ -575,45 +475,38 @@ mod tests {
         }
     }
 
-    fn header_row<R: Record>() -> Vec<String> {
-        R::HEADER.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn job_roundtrip() {
-        let j = sample_job();
-        assert_eq!(JobRecord::decode(&j.encode()).unwrap(), j);
-    }
-
-    #[test]
-    fn job_roundtrip_with_lineage() {
-        let mut j = sample_job();
-        j.resubmit_of = Some(JobId::new(17));
-        let row = j.encode();
-        assert_eq!(row.last().map(String::as_str), Some("17"));
-        assert_eq!(JobRecord::decode(&row).unwrap(), j);
-    }
-
-    #[test]
-    fn forward_or_self_lineage_is_rejected() {
-        for bad in ["42", "43"] {
-            let mut row = sample_job().encode();
-            *row.last_mut().unwrap() = bad.to_owned();
-            let err = JobRecord::decode(&row).unwrap_err();
-            assert_eq!(err.field, "resubmit_of");
-            assert_eq!(err.kind, SchemaErrorKind::BadValue);
-            assert_eq!(err.value.as_deref(), Some(bad));
+    /// Decodes `rows` under `header` the way a directory load does: both
+    /// written with `write_record`, scanned with `CsvScanner`, the header
+    /// resolved to a `ColumnMap`, and each row through `decode_fields`.
+    fn decode_csv<R: Record>(header: &[&str], rows: &[Vec<String>]) -> Result<Vec<R>, SchemaError> {
+        let mut buf = Vec::new();
+        write_record(&mut buf, header).unwrap();
+        for row in rows {
+            write_record(&mut buf, row).unwrap();
         }
+        let mut scanner = CsvScanner::new(&buf[..]);
+        let names = scanner.read_record().unwrap().unwrap().to_vec();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let cols = ColumnMap::resolve::<R>(&names)?;
+        let mut out = Vec::new();
+        while let Some(view) = scanner.read_record().unwrap() {
+            out.push(R::decode_fields(&view, &cols)?);
+        }
+        Ok(out)
+    }
+
+    /// Decodes one row under the declared header.
+    fn decode_row<R: Record>(row: Vec<String>) -> Result<R, SchemaError> {
+        decode_csv::<R>(R::HEADER, &[row]).map(|mut records| records.remove(0))
     }
 
     #[test]
-    fn ras_roundtrip_with_tricky_message() {
+    fn all_four_tables_roundtrip_through_the_scanner() {
+        let j = sample_job();
+        assert_eq!(decode_row::<JobRecord>(j.encode()).unwrap(), j);
+        // The message holds commas and quotes.
         let r = sample_ras();
-        assert_eq!(RasRecord::decode(&r.encode()).unwrap(), r);
-    }
-
-    #[test]
-    fn task_roundtrip() {
+        assert_eq!(decode_row::<RasRecord>(r.encode()).unwrap(), r);
         let t = TaskRecord {
             task_id: TaskId::new(1),
             job_id: JobId::new(42),
@@ -624,12 +517,8 @@ mod tests {
             ranks: 512,
             exit_code: 0,
         };
-        assert_eq!(TaskRecord::decode(&t.encode()).unwrap(), t);
-    }
-
-    #[test]
-    fn io_roundtrip() {
-        let r = IoRecord {
+        assert_eq!(decode_row::<TaskRecord>(t.encode()).unwrap(), t);
+        let io = IoRecord {
             job_id: JobId::new(42),
             bytes_read: 1 << 40,
             bytes_written: 123,
@@ -637,14 +526,35 @@ mod tests {
             files_written: 2,
             io_time_s: 55.125,
         };
-        assert_eq!(IoRecord::decode(&r.encode()).unwrap(), r);
+        assert_eq!(decode_row::<IoRecord>(io.encode()).unwrap(), io);
+    }
+
+    #[test]
+    fn job_roundtrip_with_lineage() {
+        let mut j = sample_job();
+        j.resubmit_of = Some(JobId::new(17));
+        let row = j.encode();
+        assert_eq!(row.last().map(String::as_str), Some("17"));
+        assert_eq!(decode_row::<JobRecord>(row).unwrap(), j);
+    }
+
+    #[test]
+    fn forward_or_self_lineage_is_rejected() {
+        for bad in ["42", "43"] {
+            let mut row = sample_job().encode();
+            *row.last_mut().unwrap() = bad.to_owned();
+            let err = decode_row::<JobRecord>(row).unwrap_err();
+            assert_eq!(err.field, "resubmit_of");
+            assert_eq!(err.kind, SchemaErrorKind::BadValue);
+            assert_eq!(err.value.as_deref(), Some(bad));
+        }
     }
 
     #[test]
     fn decode_reports_field_and_value() {
         let mut row = sample_job().encode();
         row[4] = "not-a-number".to_owned();
-        let err = JobRecord::decode(&row).unwrap_err();
+        let err = decode_row::<JobRecord>(row).unwrap_err();
         assert_eq!(err.field, "nodes");
         assert_eq!(err.value.as_deref(), Some("not-a-number"));
         assert_eq!(err.kind, SchemaErrorKind::BadValue);
@@ -653,39 +563,20 @@ mod tests {
 
     #[test]
     fn decode_reports_missing_fields() {
-        let short = vec!["1".to_owned()];
-        let err = JobRecord::decode(&short).unwrap_err();
+        let err = decode_row::<JobRecord>(vec!["1".to_owned()]).unwrap_err();
         assert!(err.value.is_none());
         assert_eq!(err.kind, SchemaErrorKind::MissingField);
         assert!(err.to_string().contains("missing field"));
     }
 
     #[test]
-    fn decode_table_checks_header() {
+    fn header_row_is_checked() {
         let j = sample_job();
-        let rows = vec![header_row::<JobRecord>(), j.encode()];
-        assert_eq!(decode_table::<JobRecord>(&rows).unwrap(), vec![j]);
-
-        let bad = vec![vec!["nope".to_owned()]];
-        assert!(decode_table::<JobRecord>(&bad).is_err());
-    }
-
-    #[test]
-    fn decode_table_counting_skips_bad_rows() {
-        let j = sample_job();
-        let mut bad_row = j.encode();
-        bad_row[4] = "not-a-number".to_owned();
-        let rows = vec![header_row::<JobRecord>(), j.encode(), bad_row, j.encode()];
-        let (records, rejected, first) = decode_table_counting::<JobRecord>(&rows).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(rejected, 1);
-        assert_eq!(first.unwrap().field, "nodes");
-    }
-
-    #[test]
-    fn decode_table_counting_still_rejects_bad_header() {
-        let bad = vec![vec!["nope".to_owned()]];
-        assert!(decode_table_counting::<JobRecord>(&bad).is_err());
+        assert_eq!(
+            decode_csv::<JobRecord>(JobRecord::HEADER, &[j.encode()]).unwrap(),
+            vec![j]
+        );
+        assert!(decode_csv::<JobRecord>(&["nope"], &[]).is_err());
     }
 
     // -- ColumnMap --------------------------------------------------------
@@ -713,14 +604,13 @@ mod tests {
     }
 
     #[test]
-    fn decode_table_accepts_permuted_header() {
+    fn permuted_header_decodes_every_field() {
         let t = sample_job();
-        let mut header = header_row::<JobRecord>();
+        let mut header = JobRecord::HEADER.to_vec();
         let mut row = t.encode();
         header.swap(0, 1);
         row.swap(0, 1);
-        let rows = vec![header, row];
-        assert_eq!(decode_table::<JobRecord>(&rows).unwrap(), vec![t]);
+        assert_eq!(decode_csv::<JobRecord>(&header, &[row]).unwrap(), vec![t]);
     }
 
     #[test]
@@ -730,7 +620,7 @@ mod tests {
         // it must be reported as an unknown column.
         let mut header: Vec<&str> = JobRecord::HEADER.to_vec();
         header[1] = "userz";
-        let err = ColumnMap::resolve::<JobRecord>(&header).unwrap_err();
+        let err = decode_csv::<JobRecord>(&header, &[]).unwrap_err();
         assert_eq!(err.kind, SchemaErrorKind::UnknownColumn);
         assert_eq!(err.value.as_deref(), Some("userz"));
         assert!(err.to_string().contains("unknown column"));
@@ -741,17 +631,12 @@ mod tests {
         let mut dup: Vec<&str> = IoRecord::HEADER.to_vec();
         dup[1] = dup[0];
         assert_eq!(
-            ColumnMap::resolve::<IoRecord>(&dup).unwrap_err().kind,
+            decode_csv::<IoRecord>(&dup, &[]).unwrap_err().kind,
             SchemaErrorKind::Header
         );
         let short: Vec<&str> = IoRecord::HEADER[..3].to_vec();
         assert_eq!(
-            ColumnMap::resolve::<IoRecord>(&short).unwrap_err().kind,
-            SchemaErrorKind::Header
-        );
-        let empty: Vec<Vec<String>> = Vec::new();
-        assert_eq!(
-            decode_table::<IoRecord>(&empty).unwrap_err().kind,
+            decode_csv::<IoRecord>(&short, &[]).unwrap_err().kind,
             SchemaErrorKind::Header
         );
     }

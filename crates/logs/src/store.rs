@@ -1128,18 +1128,23 @@ mod tests {
         ds.jobs = vec![job(1, 100)];
         ds.normalize();
         ds.save_dir(&dir).unwrap();
-        // Overwrite io.csv with a file whose header belongs to no table.
+        // Overwrite io.csv with a file whose header belongs to no table,
+        // and tasks.csv with a file that has no header row at all.
         std::fs::write(dir.join("io.csv"), "alpha,beta\n1,2\n").unwrap();
+        std::fs::write(dir.join("tasks.csv"), "").unwrap();
         let opts = LoadOptions {
             degraded: true,
             ..LoadOptions::default()
         };
         let (loaded, report) = Dataset::load_dir_with(&dir, &opts).unwrap();
         assert!(loaded.io.is_empty());
-        assert_eq!(
-            report.table("io").unwrap().status,
-            TableStatus::Quarantined(QuarantineReason::Header)
-        );
+        for table in ["io", "tasks"] {
+            assert_eq!(
+                report.table(table).unwrap().status,
+                TableStatus::Quarantined(QuarantineReason::Header),
+                "{table}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,7 +6,7 @@
 //! allocation, the bytes requested, the live-byte level, and the peak
 //! live-byte watermark — four relaxed atomics per allocation, cheap
 //! enough to profile with but **not** free, which is why the feature is
-//! off by default and excluded from the `BENCH_obs_overhead` budget.
+//! off by default.
 //!
 //! Per-stage attribution: when `obs-alloc` is on, every span guard
 //! captures the alloc/byte totals at entry and records the deltas as

@@ -264,8 +264,19 @@ pub fn join4<R1: Send, R2: Send, R3: Send, R4: Send>(
 mod tests {
     use super::*;
 
+    /// Serializes the tests that set or depend on the process-global
+    /// thread cap: one test's `with_max_threads` must not leak into
+    /// another's assertions.
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock() -> std::sync::MutexGuard<'static, ()> {
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn par_map_preserves_order() {
+        let _cap = lock();
         let items: Vec<u64> = (0..10_001).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
         assert_eq!(par_map(&items, |x| x * x), seq);
@@ -327,6 +338,7 @@ mod tests {
         fn bump() {
             CALLS.fetch_add(1, Ordering::SeqCst);
         }
+        let _cap = lock();
         set_worker_epilogue(bump);
         let before = CALLS.load(Ordering::SeqCst);
         let items: Vec<u64> = (0..10_000).collect();
@@ -345,6 +357,7 @@ mod tests {
 
     #[test]
     fn with_max_threads_restores_on_exit() {
+        let _cap = lock();
         with_max_threads(3, || {
             assert!(workers_for(100) <= 3 || cfg!(not(feature = "parallel")));
         });

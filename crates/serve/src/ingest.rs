@@ -1,15 +1,21 @@
 //! Live-tail ingestion: MANIFEST discovery → day-segment load → epoch
 //! build → publish.
 //!
-//! Each [`Ingestor::poll`] is O(new days): the [`ManifestTail`] reads
-//! only the manifest bytes appended since the last poll,
-//! [`read_days_with`](snapshot::read_days_with) loads only the newly
-//! committed segments (under the degraded-load semantics, so a corrupt
-//! segment quarantines per-table instead of killing the daemon), and
-//! the [`IndexBuilder`] reuses every cached per-day artifact — only the
-//! new days' artifacts are computed. The epoch is built entirely
-//! off-lock and published with an O(1) swap, so queries are never
-//! blocked by ingestion.
+//! Three steps of each [`Ingestor::poll`] are incremental: the
+//! [`ManifestTail`] reads only the manifest bytes appended since the
+//! last poll, [`read_days_with`](snapshot::read_days_with) loads only
+//! the newly committed segments (under the degraded-load semantics, so
+//! a corrupt segment quarantines per-table instead of killing the
+//! daemon), and the [`IndexBuilder`] computes per-day artifacts only for
+//! the new days. The rest of a poll runs over the whole history:
+//! `Dataset::normalize`, `PartitionMap::of_dataset`, the filter funnel
+//! and the concatenation in `DatasetIndex::merge`, every analysis
+//! stage, and the per-user map in [`Epoch::build`]. A tick therefore
+//! costs O(history): on a two-core machine one took ~190 ms over 365
+//! days of history and ~1.08 s over 2000 days (the benchmark's traced
+//! `live_tail` run reports `ingest.poll_ms.p50` and `epoch.build_ms`).
+//! The epoch is built entirely off-lock and published with an O(1)
+//! swap, so queries are never blocked by ingestion.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -8,8 +8,8 @@
 //!
 //! * [`ingest`] tails a live snapshot directory through
 //!   [`bgq_logs::snapshot::ManifestTail`], loading only newly committed
-//!   day segments and extending the partitioned index incrementally
-//!   (cached per-day artifacts are reused, so a tick costs O(new days)).
+//!   day segments and reusing the cached per-day index artifacts. The
+//!   rest of a tick still runs over the whole history (see [`ingest`]).
 //! * [`epoch`] holds the epoch-swap machinery: each consistent view is
 //!   an immutable [`epoch::Epoch`] published behind an
 //!   `RwLock<Arc<Epoch>>`. Queries clone the `Arc` under a momentary

@@ -7,7 +7,8 @@
 use bgq_core::analysis::Analysis;
 use bgq_core::exitcode::ExitClass;
 use bgq_core::filtering::effective_incidents;
-use bgq_core::locality::{locality_map, Level};
+use bgq_core::index::DatasetIndex;
+use bgq_core::locality::{locality_map_indexed, Level};
 use bgq_model::Severity;
 use bgq_sim::{generate, SimConfig, SimOutput};
 use bgq_stats::dist::DistKind;
@@ -148,7 +149,8 @@ fn effective_incidents_are_consistent_with_kills() {
 #[test]
 fn locality_analysis_finds_the_lemon_boards() {
     let (out, _) = trace();
-    let map = locality_map(&out.dataset.ras, Severity::Fatal, Level::Board);
+    let idx = DatasetIndex::build(&out.dataset);
+    let map = locality_map_indexed(&idx, Severity::Fatal, Level::Board);
     let hot = map.hot_elements(3.0);
     let lemons = &out.truth.lemon_boards;
     let found = lemons.iter().filter(|l| hot.contains(l)).count();
