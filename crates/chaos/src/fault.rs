@@ -1,11 +1,11 @@
 //! `io::Error` injection under the CSV scanner.
 //!
 //! [`FaultRead`] wraps any `BufRead` and fails it once the reader
-//! crosses a byte offset; [`FaultDir`] is a
-//! [`TableSource`](bgq_logs::store::TableSource) that hands out faulted
-//! readers on a per-table schedule. A *transient* fault clears after a
-//! configured number of opens (the store's bounded retry must recover);
-//! a *permanent* one never does (the store must quarantine or fail).
+//! crosses a byte offset; [`FaultDir`] is a [`TableSource`] that hands
+//! out faulted readers on a per-table schedule. A *transient* fault
+//! clears after a configured number of opens (the store's bounded retry
+//! must recover); a *permanent* one never does (the store must
+//! quarantine or fail).
 
 use std::collections::HashMap;
 use std::fs::File;

@@ -386,8 +386,8 @@ fn emit_observability(
     }
     let mut manifest = RunManifest::new(bgq_obs::snapshot().since(before))
         .with_meta("command", format!("mira-mine {}", args.join(" ")))
-        .with_meta("features", feature_list())
-        .with_meta("threads", thread_count().to_string())
+        .with_meta("features", if bgq_obs::enabled() { "obs" } else { "none" })
+        .with_meta("threads", bgq_par::max_workers().to_string())
         .with_meta("status", if error.is_some() { "error" } else { "ok" });
     if let Some(e) = error {
         manifest = manifest.with_meta("error", e.to_string());
@@ -410,33 +410,6 @@ fn emit_observability(
         })?;
     }
     Ok(())
-}
-
-/// The compile-time features that shape a run, as a comma list.
-fn feature_list() -> String {
-    let mut features = Vec::new();
-    if bgq_obs::enabled() {
-        features.push("obs");
-    }
-    if cfg!(feature = "parallel") {
-        features.push("parallel");
-    }
-    if features.is_empty() {
-        "none".to_owned()
-    } else {
-        features.join(",")
-    }
-}
-
-/// Worker threads the parallel substrate will use (1 when sequential).
-fn thread_count() -> usize {
-    if bgq_par::is_parallel() {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        1
-    }
 }
 
 fn cmd_gen(args: &[String]) -> Result<String, CliError> {
@@ -651,9 +624,8 @@ fn positional<'a>(args: &'a [String], value_flags: &[&str]) -> Option<&'a String
 }
 
 /// What `load_dataset` hands every command: the dataset, what survived
-/// loading, and — for snapshot sources — the day-partition map enabling
-/// the partitioned index build.
-type LoadedDataset = (Dataset, SourceAvailability, Option<PartitionMap>);
+/// loading, and the day-partition map the index build runs over.
+type LoadedDataset = (Dataset, SourceAvailability, PartitionMap);
 
 fn load(args: &[String], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
     let dir = positional(args, &["--gap-mins", "--window-hours", "--window-days"])
@@ -666,46 +638,45 @@ fn load(args: &[String], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
 /// in the run manifest via the store's counters), or resiliently when
 /// `--degraded` was given (a missing or over-damaged table is quarantined
 /// and reported via the returned [`SourceAvailability`] instead of
-/// failing the run).
+/// failing the run). Without `--max-reject-ratio` the reject ceiling is
+/// zero, so under `--degraded` one damaged row quarantines its table.
 ///
 /// A directory holding a snapshot MANIFEST is loaded through the
 /// columnar snapshot path (same strict/lenient/degraded semantics, with
-/// the reject ceiling enforced per segment); anything else goes through
-/// the CSV store.
+/// the reject ceiling enforced per segment), which hands back its
+/// partition map; anything else goes through the CSV store, and the map
+/// is computed from the loaded rows.
 fn load_dataset(dir: &Path, opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
+    let load_opts = LoadOptions {
+        max_reject_ratio: opts.max_reject_ratio.unwrap_or(0.0),
+        degraded: opts.degraded,
+        ..LoadOptions::default()
+    };
     if snapshot::is_snapshot_dir(dir) {
-        let load_opts = LoadOptions {
-            max_reject_ratio: opts.max_reject_ratio.unwrap_or(0.0),
-            degraded: opts.degraded,
-            ..LoadOptions::default()
-        };
         let (ds, report) = snapshot::read_dir_with(dir, &load_opts)?;
-        let avail = report.load.availability();
-        return Ok((ds, avail, Some(report.partitions)));
+        return Ok((ds, report.load.availability(), report.partitions));
     }
-    if opts.degraded || opts.max_reject_ratio.is_some() {
-        let load_opts = LoadOptions {
-            max_reject_ratio: opts
-                .max_reject_ratio
-                .unwrap_or(LoadOptions::default().max_reject_ratio),
-            degraded: opts.degraded,
-            ..LoadOptions::default()
-        };
+    let (ds, avail) = if opts.degraded || opts.max_reject_ratio.is_some() {
         let (ds, report) = Dataset::load_dir_with(dir, &load_opts)?;
-        Ok((ds, report.availability(), None))
+        (ds, report.availability())
     } else {
-        Ok((Dataset::load_dir(dir)?, SourceAvailability::ALL, None))
-    }
+        (Dataset::load_dir(dir)?, SourceAvailability::ALL)
+    };
+    let parts = PartitionMap::of_dataset(&ds);
+    Ok((ds, avail, parts))
 }
 
-/// Builds the analysis, using the partitioned index build when the load
-/// produced a [`PartitionMap`] (snapshot sources) and the monolithic
-/// build otherwise — the two are artifact-identical.
-fn run_analysis(ds: &Dataset, avail: &SourceAvailability, parts: Option<&PartitionMap>) -> Analysis {
-    match parts {
-        Some(p) => Analysis::run_degraded_partitioned(ds, avail, p),
-        None => Analysis::run_degraded(ds, avail),
-    }
+/// The one analysis path: the day-partitioned index build, every stage,
+/// and the load-time quarantine markers. Returns the index too, for
+/// callers that query it further.
+fn run_analysis<'a>(
+    ds: &'a Dataset,
+    avail: &SourceAvailability,
+    parts: &PartitionMap,
+) -> (DatasetIndex<'a>, Analysis) {
+    let idx = DatasetIndex::build_partitioned(ds, parts, &FilterConfig::default());
+    let analysis = Analysis::run_indexed(&idx).mark_degraded(avail);
+    (idx, analysis)
 }
 
 /// A `DEGRADED:` banner naming quarantined tables, or empty when the
@@ -723,7 +694,7 @@ fn degraded_banner(avail: &SourceAvailability) -> String {
 
 fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     let (ds, avail, parts) = load(args, opts)?;
-    let a = run_analysis(&ds, &avail, parts.as_ref());
+    let (_, a) = run_analysis(&ds, &avail, &parts);
     let mut out = String::new();
     if !a.degraded.is_empty() {
         out.push_str(&format!(
@@ -824,7 +795,7 @@ fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 
 fn cmd_report(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     let (ds, avail, parts) = load(args, opts)?;
-    let a = run_analysis(&ds, &avail, parts.as_ref());
+    let (_, a) = run_analysis(&ds, &avail, &parts);
     let mut out = degraded_banner(&avail);
     out.push_str("The 22 takeaways, re-derived from this trace:\n\n");
     for t in takeaways(&a) {
@@ -1118,27 +1089,22 @@ fn cmd_profile(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     let dir = positional(args, &["--days", "--seed", "--baseline"]);
 
     let before = bgq_obs::snapshot();
-    let (ds, avail, parts, source) = match dir {
-        Some(d) => {
-            let (ds, avail, parts) = load_dataset(Path::new(d), opts)?;
-            (ds, avail, parts, d.clone())
+    let ((ds, avail, parts), source) = match dir {
+        Some(d) => (load_dataset(Path::new(d), opts)?, d.clone()),
+        None => {
+            let ds = generate(&SimConfig::small(days).with_seed(seed)).dataset;
+            let parts = PartitionMap::of_dataset(&ds);
+            (
+                (ds, SourceAvailability::ALL, parts),
+                format!("simulated ({days} days, seed {seed})"),
+            )
         }
-        None => (
-            generate(&SimConfig::small(days).with_seed(seed)).dataset,
-            SourceAvailability::ALL,
-            None,
-            format!("simulated ({days} days, seed {seed})"),
-        ),
     };
     let fingerprint = dataset_fingerprint(&ds);
     bgq_obs::gauge_set("dataset.fingerprint", fingerprint);
-    bgq_obs::gauge_set("run.threads", thread_count() as u64);
+    bgq_obs::gauge_set("run.threads", bgq_par::max_workers() as u64);
 
-    let idx = match &parts {
-        Some(p) => DatasetIndex::build_partitioned(&ds, p, &FilterConfig::default()),
-        None => DatasetIndex::build(&ds),
-    };
-    let analysis = Analysis::run_indexed(&idx);
+    let (idx, analysis) = run_analysis(&ds, &avail, &parts);
     // Memo probe: run_indexed already built the Warn join for the
     // user-correlation stage; this second consumer must hit the memo,
     // which shows up as `index.join.memo_hit{warn}` in the manifest.
@@ -1635,14 +1601,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn lenient_load_tolerates_a_damaged_row() {
-        let _obs = lock();
-        let dir = temp_dir("lenient");
-        let dir_str = dir.to_str().unwrap().to_owned();
-        run(&s(&["gen", "--out", &dir_str, "--days", "6", "--seed", "5"])).unwrap();
-
-        // Mangle one data row of jobs.csv so strict loading fails.
+    /// Generates a 6-day CSV trace into `dir` and mangles its first
+    /// `jobs.csv` data row so strict loading fails. Returns the number of
+    /// job rows left intact.
+    fn gen_with_one_damaged_job_row(dir: &Path) -> usize {
+        let dir_str = dir.to_str().unwrap();
+        run(&s(&["gen", "--out", dir_str, "--days", "6", "--seed", "5"])).unwrap();
         let jobs_path = dir.join("jobs.csv");
         let text = std::fs::read_to_string(&jobs_path).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
@@ -1650,6 +1614,15 @@ mod tests {
         let mangled = "this is not a valid job record at all".to_owned();
         lines[1] = &mangled;
         std::fs::write(&jobs_path, lines.join("\n")).unwrap();
+        lines.len() - 2
+    }
+
+    #[test]
+    fn lenient_load_tolerates_a_damaged_row() {
+        let _obs = lock();
+        let dir = temp_dir("lenient");
+        let dir_str = dir.to_str().unwrap().to_owned();
+        gen_with_one_damaged_job_row(&dir);
 
         let err = run(&s(&["analyze", &dir_str])).unwrap_err();
         assert!(matches!(err, CliError::Store(_)), "{err}");
@@ -1667,6 +1640,36 @@ mod tests {
         // A zero ceiling turns the same damage back into an error.
         let err = run(&s(&["--max-reject-ratio", "0", "analyze", &dir_str])).unwrap_err();
         assert!(err.to_string().contains("reject"), "{err}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn degraded_csv_load_quarantines_a_damaged_table() {
+        let _obs = lock();
+        let dir = temp_dir("degraded-row");
+        let dir_str = dir.to_str().unwrap().to_owned();
+        let intact = gen_with_one_damaged_job_row(&dir);
+
+        // Without --max-reject-ratio the ceiling is zero, as for snapshot
+        // loads: one damaged row quarantines the table.
+        let out = run(&s(&["--quiet", "--degraded", "analyze", &dir_str])).unwrap();
+        let banner = "DEGRADED: table(s) unavailable: jobs";
+        assert!(out.starts_with(banner), "{out}");
+
+        // An explicit ceiling skips the row and keeps the rest.
+        let out = run(&s(&[
+            "--quiet",
+            "--degraded",
+            "--max-reject-ratio",
+            "0.05",
+            "analyze",
+            &dir_str,
+        ]))
+        .unwrap();
+        assert!(!out.contains("DEGRADED"), "{out}");
+        let trace = format!("trace: {} jobs", group_thousands(intact as u64));
+        assert!(out.starts_with(&trace), "{out}");
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

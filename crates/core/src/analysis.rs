@@ -4,9 +4,7 @@ use bgq_logs::store::{Dataset, SourceAvailability};
 use bgq_model::ras::Severity;
 
 use crate::failure_rates::{by_consumed_core_hours, by_core_hours, by_scale, by_tasks, RateCurve};
-use crate::filtering::{
-    interruption_stats_indexed, FilterConfig, FilterOutcome, InterruptionStats,
-};
+use crate::filtering::{interruption_stats_indexed, FilterOutcome, InterruptionStats};
 use crate::fitting::{fit_by_class_indexed, fit_interruption_intervals_indexed, ClassFit};
 use crate::index::DatasetIndex;
 use crate::io_analysis::{io_outcome_stats, IoOutcomeStats};
@@ -162,56 +160,31 @@ pub struct Analysis {
     /// E17: mean machine utilization over the trace.
     pub mean_utilization: Option<f64>,
     /// Stages whose inputs were quarantined at load time (empty for a
-    /// complete dataset). Populated by [`Analysis::run_degraded`]; the
-    /// plain entry points assume all sources present.
+    /// complete dataset). Populated by [`Analysis::mark_degraded`]; the
+    /// run itself assumes all sources present.
     pub degraded: Vec<DegradedStage>,
 }
 
 impl Analysis {
-    /// Runs every analysis with the default [`FilterConfig`].
+    /// Runs every analysis with the default [`FilterConfig`]:
+    /// [`Analysis::run_indexed`] over [`DatasetIndex::build`].
     ///
-    /// Builds one [`DatasetIndex`] and hands it to every stage — see
-    /// [`Analysis::run_indexed`].
+    /// [`FilterConfig`]: crate::filtering::FilterConfig
     #[must_use]
     pub fn run(ds: &Dataset) -> Self {
         Analysis::run_indexed(&DatasetIndex::build(ds))
     }
 
-    /// Runs every analysis over a possibly partial dataset, marking each
-    /// stage whose sources were quarantined at load time with an
-    /// explicit [`DegradedStage`] entry (and an `analysis.degraded` obs
-    /// counter per stage) instead of letting its zeros masquerade as
-    /// measurements.
+    /// Stamps the load-time quarantine markers onto a finished analysis:
+    /// each stage whose sources were quarantined gets an explicit
+    /// [`DegradedStage`] entry (and an `analysis.degraded` obs counter)
+    /// instead of letting its zeros masquerade as measurements.
     ///
     /// Every stage still runs — a degraded stage's result covers the
     /// records that survived, which is the honest best-effort answer;
     /// the marker is what keeps it from being read as the full trace.
-    #[must_use]
-    pub fn run_degraded(ds: &Dataset, avail: &SourceAvailability) -> Self {
-        Analysis::run(ds).mark_degraded(avail)
-    }
-
-    /// [`Analysis::run_degraded`] over a day-partitioned dataset (e.g.
-    /// one loaded from a snapshot, which hands back its
-    /// [`PartitionMap`]): builds the index per-partition and merges —
-    /// the artifacts, and therefore every analysis field, are identical
-    /// to the monolithic build.
-    ///
-    /// [`PartitionMap`]: bgq_logs::snapshot::PartitionMap
-    #[must_use]
-    pub fn run_degraded_partitioned(
-        ds: &Dataset,
-        avail: &SourceAvailability,
-        parts: &bgq_logs::snapshot::PartitionMap,
-    ) -> Self {
-        let idx = DatasetIndex::build_partitioned(ds, parts, &FilterConfig::default());
-        Analysis::run_indexed(&idx).mark_degraded(avail)
-    }
-
-    /// Stamps the load-time quarantine markers onto a finished analysis.
-    /// Public so incremental hosts (the serve layer) that reuse a cached
-    /// [`IndexBuilder`](crate::index::IndexBuilder) + [`Analysis::run_indexed`]
-    /// produce exactly what [`Analysis::run_degraded_partitioned`] does.
+    /// The batch CLI and the serve layer's epochs both run
+    /// `Analysis::run_indexed(&idx).mark_degraded(&avail)`.
     #[must_use]
     pub fn mark_degraded(mut self, avail: &SourceAvailability) -> Self {
         self.degraded = degraded_stages(avail);
@@ -224,11 +197,11 @@ impl Analysis {
     /// Runs every analysis over a prebuilt [`DatasetIndex`].
     ///
     /// The stages are grouped into four independent bundles that run
-    /// concurrently under the `parallel` feature (distribution fitting,
+    /// concurrently on `bgq-par`'s scoped threads (distribution fitting,
     /// the RAS↔job join, the funnel consumers, and the per-job sweeps).
     /// Every stage is a pure function of the index, and the bundles
     /// exchange no state beyond the memoized index itself, so the result
-    /// is field-for-field identical to the sequential build.
+    /// is field-for-field identical to the sequential path.
     #[must_use]
     pub fn run_indexed(idx: &DatasetIndex<'_>) -> Self {
         let _run = bgq_obs::span!("analysis.run");
@@ -408,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn run_degraded_marks_ras_consumers_when_ras_is_missing() {
+    fn mark_degraded_flags_ras_consumers_when_ras_is_missing() {
         let out = generate(&SimConfig::small(5).with_seed(2));
         let mut ds = out.dataset;
         ds.ras.clear();
@@ -416,7 +389,7 @@ mod tests {
             ras: false,
             ..SourceAvailability::ALL
         };
-        let a = Analysis::run_degraded(&ds, &avail);
+        let a = Analysis::run(&ds).mark_degraded(&avail);
         let stages: Vec<&str> = a.degraded.iter().map(|d| d.stage).collect();
         assert!(stages.contains(&"ras"));
         assert!(stages.contains(&"filter"));
@@ -430,9 +403,9 @@ mod tests {
     }
 
     #[test]
-    fn run_degraded_with_complete_sources_is_clean() {
+    fn mark_degraded_with_complete_sources_is_clean() {
         let out = generate(&SimConfig::small(5).with_seed(2));
-        let a = Analysis::run_degraded(&out.dataset, &SourceAvailability::ALL);
+        let a = Analysis::run(&out.dataset).mark_degraded(&SourceAvailability::ALL);
         assert!(a.degraded.is_empty());
     }
 

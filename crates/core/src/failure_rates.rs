@@ -152,18 +152,6 @@ pub fn by_consumed_core_hours(jobs: &[JobRecord]) -> RateCurve {
     )
 }
 
-/// Failure rate by requested wall time, in hour buckets.
-pub fn by_walltime(jobs: &[JobRecord]) -> RateCurve {
-    curve(
-        jobs,
-        |j| f64::from(j.requested_walltime_s) / 3600.0,
-        |x| {
-            let h = x.ceil().max(1.0);
-            (format!("{h}h"), h)
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -59,7 +59,7 @@ pub fn failure_lengths_indexed(idx: &crate::index::DatasetIndex<'_>, class: Exit
 /// only reports classes with substantial mass.
 ///
 /// The per-class maximum-likelihood fits are independent, so they run
-/// concurrently under the `parallel` feature; the result order follows
+/// concurrently; the result order follows
 /// [`ExitClass::FITTED_USER_CLASSES`] either way.
 #[must_use]
 pub fn fit_by_class_indexed(

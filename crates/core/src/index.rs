@@ -7,8 +7,13 @@
 //! needed them — the full pipeline classified every job five times and
 //! ran the (expensive) join twice at the same severity. [`DatasetIndex`]
 //! computes each artifact exactly once and hands out shared references,
-//! so [`Analysis::run`] stages — which run concurrently under the
-//! `parallel` feature — all read the same memoized state.
+//! so [`Analysis::run`] stages — which run concurrently on `bgq-par`'s
+//! scoped threads — all read the same memoized state.
+//!
+//! There is one build: per-day artifacts merged into the full index.
+//! [`DatasetIndex::build_partitioned`] computes every day of a
+//! [`PartitionMap`], [`IndexBuilder`] reuses the days it has cached, and
+//! [`DatasetIndex::build`] treats the whole dataset as one partition.
 //!
 //! Everything here is deterministic: eager artifacts are built with
 //! order-preserving combinators, and the lazily memoized joins are pure
@@ -22,7 +27,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use bgq_logs::interval::IntervalIndex;
-use bgq_logs::join::{attribute_events_with, job_span_index, job_span_index_partitioned, JoinResult};
+use bgq_logs::join::{attribute_events_with, job_span_index_partitioned, JoinResult};
 use bgq_logs::snapshot::{PartitionMap, PartitionSpan};
 use bgq_logs::store::Dataset;
 use bgq_model::ras::Severity;
@@ -53,9 +58,9 @@ fn severity_label(severity: Severity) -> &'static str {
 ///
 /// Cheap artifacts (exit classes, severity partition, job-span interval
 /// index, the filtering funnel, time orderings) are built eagerly by
-/// [`DatasetIndex::build`]; the RAS↔job join is memoized per severity on
-/// first use, because most pipelines only ever join at one or two
-/// severities.
+/// [`DatasetIndex::build_partitioned`]; the RAS↔job join is memoized per
+/// severity on first use, because most pipelines only ever join at one
+/// or two severities.
 ///
 /// # Examples
 ///
@@ -76,8 +81,6 @@ pub struct DatasetIndex<'a> {
     pub ras: &'a [RasRecord],
     /// The I/O log.
     pub io: &'a [IoRecord],
-    /// The filter configuration the funnel ran with.
-    pub filter_config: FilterConfig,
     /// `exit_classes[i]` classifies `jobs[i].exit_code`.
     pub exit_classes: Vec<ExitClass>,
     /// Job indices sorted by `(ended_at, index)` — the time ordering the
@@ -95,73 +98,39 @@ pub struct DatasetIndex<'a> {
 }
 
 impl<'a> DatasetIndex<'a> {
-    /// Builds the index with the default [`FilterConfig`].
+    /// Builds the index with the default [`FilterConfig`], treating the
+    /// whole dataset as one partition.
+    ///
+    /// Unlike [`PartitionMap::of_dataset`], one span over every row needs
+    /// no canonical order: jobs may come in any order, and RAS records
+    /// only need to be sorted by time (the funnel's precondition).
     #[must_use]
     pub fn build(ds: &'a Dataset) -> Self {
-        Self::build_with(ds, &FilterConfig::default())
+        let all = PartitionSpan {
+            day: 0,
+            jobs: 0..ds.jobs.len(),
+            ras: 0..ds.ras.len(),
+            tasks: 0..ds.tasks.len(),
+        };
+        let parts = PartitionMap { days: vec![all] };
+        Self::build_partitioned(ds, &parts, &FilterConfig::default())
     }
 
-    /// Builds the index with an explicit filter configuration.
-    ///
-    /// The job-side artifacts (classification, span index, end ordering)
-    /// and the RAS-side artifacts (funnel, severity partition) touch
-    /// disjoint logs, so the two groups run concurrently under the
-    /// `parallel` feature.
-    #[must_use]
-    pub fn build_with(ds: &'a Dataset, config: &FilterConfig) -> Self {
-        let _span = bgq_obs::span!("index.build");
-        let (jobs, ras) = (ds.jobs.as_slice(), ds.ras.as_slice());
-        let ((exit_classes, jobs_by_end, job_spans), (filter, by_severity)) = bgq_par::join(
-            || {
-                bgq_obs::time("index.build.jobs", || {
-                    let classes =
-                        bgq_par::par_map(jobs, |j| ExitClass::from_exit_code(j.exit_code));
-                    let mut by_end: Vec<usize> = (0..jobs.len()).collect();
-                    by_end.sort_by_key(|&i| (jobs[i].ended_at, i));
-                    (classes, by_end, job_span_index(jobs))
-                })
-            },
-            || {
-                bgq_obs::time("index.build.ras", || {
-                    let filter = filter_events(ras, config);
-                    let mut views: [Vec<usize>; 3] = Default::default();
-                    for (i, r) in ras.iter().enumerate() {
-                        views[rank(r.severity)].push(i);
-                    }
-                    (filter, views)
-                })
-            },
-        );
-        DatasetIndex {
-            jobs,
-            ras,
-            io: &ds.io,
-            filter_config: config.clone(),
-            exit_classes,
-            jobs_by_end,
-            job_spans,
-            filter,
-            by_severity,
-            joins: Default::default(),
-        }
-    }
-
-    /// Builds the index one day-partition at a time and merges — the same
-    /// artifacts as [`DatasetIndex::build_with`], bit for bit.
+    /// Builds the index one day-partition at a time and merges.
     ///
     /// Per-partition artifacts (exit classes, end ordering, severity
-    /// views) are computed concurrently across partitions under the
-    /// `parallel` feature; the merge preserves the monolithic build's
-    /// ordering exactly (concatenation for day-grouped artifacts, a
-    /// deterministic k-way merge for the end ordering, a globally-sized
-    /// partitioned interval build for the span index). The filtering
-    /// funnel is always computed globally, because temporal clusters span
-    /// partition boundaries.
+    /// views) are computed concurrently across partitions; the merge
+    /// concatenates day-grouped artifacts, k-way merges the end
+    /// ordering, and builds the span index with globally sized buckets,
+    /// so the result does not depend on how the rows were partitioned.
+    /// The filtering funnel is always computed globally, because
+    /// temporal clusters span partition boundaries.
     ///
-    /// `parts` must describe `ds` (see [`PartitionMap::of_dataset`]).
+    /// `parts` must cover `ds` contiguously (see
+    /// [`PartitionMap::of_dataset`]).
     #[must_use]
     pub fn build_partitioned(ds: &'a Dataset, parts: &PartitionMap, config: &FilterConfig) -> Self {
-        let _span = bgq_obs::span!("index.build.partitioned");
+        let _span = bgq_obs::span!("index.build");
         let arts = bgq_par::par_map(&parts.days, |span| PartArtifacts::compute(ds, span));
         Self::merge(ds, config, &arts)
     }
@@ -211,7 +180,6 @@ impl<'a> DatasetIndex<'a> {
             jobs,
             ras,
             io: &ds.io,
-            filter_config: config.clone(),
             exit_classes,
             jobs_by_end,
             job_spans,
@@ -403,8 +371,9 @@ pub struct BuildStats {
 /// let ds = generate(&SimConfig::small(3).with_seed(9)).dataset;
 /// let parts = PartitionMap::of_dataset(&ds);
 /// let mut builder = IndexBuilder::new();
-/// let idx = builder.build(&ds, &parts);
+/// let (idx, stats) = builder.build_with_stats(&ds, &parts);
 /// assert_eq!(idx.exit_classes.len(), ds.jobs.len());
+/// assert_eq!(stats.computed, parts.days.len());
 /// ```
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
@@ -419,14 +388,9 @@ impl IndexBuilder {
         Self::default()
     }
 
-    /// Builds the index with the default [`FilterConfig`], reusing cached
-    /// partitions.
-    pub fn build<'a>(&mut self, ds: &'a Dataset, parts: &PartitionMap) -> DatasetIndex<'a> {
-        self.build_with_stats(ds, parts, &FilterConfig::default()).0
-    }
-
-    /// Builds the index, reusing every cached partition whose day and row
-    /// ranges match `parts`, and reports how much work was saved.
+    /// Builds the index with the default [`FilterConfig`], reusing every
+    /// cached partition whose day and row ranges match `parts`, and
+    /// reports how much work was saved.
     ///
     /// Records `index.partition.reused` / `index.partition.computed`
     /// counters, so a run manifest can prove an append was incremental.
@@ -434,7 +398,6 @@ impl IndexBuilder {
         &mut self,
         ds: &'a Dataset,
         parts: &PartitionMap,
-        config: &FilterConfig,
     ) -> (DatasetIndex<'a>, BuildStats) {
         let _span = bgq_obs::span!("index.build.incremental");
         let mut cached: HashMap<i64, PartArtifacts> =
@@ -464,7 +427,8 @@ impl IndexBuilder {
             .collect();
         bgq_obs::add("index.partition.reused", stats.reused as u64);
         bgq_obs::add("index.partition.computed", stats.computed as u64);
-        (DatasetIndex::merge(ds, config, &self.cache), stats)
+        let idx = DatasetIndex::merge(ds, &FilterConfig::default(), &self.cache);
+        (idx, stats)
     }
 
     /// Number of day partitions currently cached.
@@ -477,7 +441,7 @@ impl IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgq_logs::join::attribute_events;
+    use bgq_logs::join::{attribute_events, job_span_index};
     use bgq_sim::{generate, SimConfig};
 
     fn dataset() -> Dataset {
@@ -561,6 +525,31 @@ mod tests {
         assert_eq!(idx.effective_incident_count(), 0);
     }
 
+    /// The reference the partitioned and incremental builds are checked
+    /// against: every eager artifact computed in one pass over the whole
+    /// dataset, with no partitioning and no merge.
+    fn monolithic(ds: &Dataset) -> DatasetIndex<'_> {
+        let (jobs, ras) = (ds.jobs.as_slice(), ds.ras.as_slice());
+        let mut jobs_by_end: Vec<usize> = (0..jobs.len()).collect();
+        jobs_by_end.sort_by_key(|&i| (jobs[i].ended_at, i));
+        let mut by_severity: [Vec<usize>; 3] = Default::default();
+        for (i, r) in ras.iter().enumerate() {
+            by_severity[rank(r.severity)].push(i);
+        }
+        let exit_classes = jobs.iter().map(|j| ExitClass::from_exit_code(j.exit_code));
+        DatasetIndex {
+            jobs,
+            ras,
+            io: &ds.io,
+            exit_classes: exit_classes.collect(),
+            jobs_by_end,
+            job_spans: job_span_index(jobs),
+            filter: filter_events(ras, &FilterConfig::default()),
+            by_severity,
+            joins: Default::default(),
+        }
+    }
+
     /// Every eager artifact of `got` equals `want`'s, bit for bit.
     fn assert_same_artifacts(got: &DatasetIndex<'_>, want: &DatasetIndex<'_>) {
         assert_eq!(got.exit_classes, want.exit_classes);
@@ -572,19 +561,37 @@ mod tests {
         }
     }
 
+    /// [`assert_same_artifacts`] plus the memoized join at every severity.
+    fn assert_same_index(got: &DatasetIndex<'_>, want: &DatasetIndex<'_>) {
+        assert_same_artifacts(got, want);
+        for &s in &Severity::ALL {
+            assert_eq!(got.join(s).pairs, want.join(s).pairs, "{s:?} join");
+        }
+    }
+
     #[test]
     fn partitioned_build_matches_monolithic() {
         let ds = dataset();
         let parts = PartitionMap::of_dataset(&ds);
         assert!(parts.days.len() > 1, "need several partitions to merge");
-        let mono = DatasetIndex::build(&ds);
+        let mono = monolithic(&ds);
         let part = DatasetIndex::build_partitioned(&ds, &parts, &FilterConfig::default());
-        assert_same_artifacts(&part, &mono);
-        // The memoized join over the merged artifacts matches too.
-        assert_eq!(
-            part.join(Severity::Fatal).pairs,
-            mono.join(Severity::Fatal).pairs
-        );
+        assert_same_index(&part, &mono);
+        assert_same_index(&DatasetIndex::build(&ds), &mono);
+
+        // `build` takes rows out of canonical order, which
+        // `PartitionMap::of_dataset` would reject: jobs in any order, and
+        // RAS records that share a timestamp in any order (the funnel
+        // needs the RAS log time-sorted).
+        let mut shuffled = ds.clone();
+        shuffled.jobs.reverse();
+        let same_time = |a: &RasRecord, b: &RasRecord| a.event_time == b.event_time;
+        for tie in shuffled.ras.chunk_by_mut(same_time) {
+            tie.reverse();
+        }
+        assert!(!shuffled.jobs.is_sorted_by_key(|j| (j.started_at, j.job_id)));
+        assert!(!shuffled.ras.is_sorted_by_key(|r| (r.event_time, r.rec_id)));
+        assert_same_index(&DatasetIndex::build(&shuffled), &monolithic(&shuffled));
 
         // Degenerate case: the empty dataset has zero partitions.
         let empty = Dataset::new();
@@ -618,33 +625,32 @@ mod tests {
         let parts_prefix = PartitionMap::of_dataset(&prefix);
         assert_eq!(parts_prefix.days.len(), parts_full.days.len() - 1);
 
-        let config = FilterConfig::default();
         let mut builder = IndexBuilder::new();
         // Cold build over the prefix: everything computed, nothing reused.
-        let (idx, stats) = builder.build_with_stats(&prefix, &parts_prefix, &config);
+        let (idx, stats) = builder.build_with_stats(&prefix, &parts_prefix);
         assert_eq!(
             stats,
             BuildStats { reused: 0, computed: parts_prefix.days.len() }
         );
-        assert_same_artifacts(&idx, &DatasetIndex::build_with(&prefix, &config));
+        assert_same_artifacts(&idx, &monolithic(&prefix));
         drop(idx);
         assert_eq!(builder.cached_days(), parts_prefix.days.len());
 
         // Append the last day back: only that day is computed.
-        let (idx, stats) = builder.build_with_stats(&full, &parts_full, &config);
+        let (idx, stats) = builder.build_with_stats(&full, &parts_full);
         assert_eq!(
             stats,
             BuildStats { reused: parts_prefix.days.len(), computed: 1 }
         );
-        assert_same_artifacts(&idx, &DatasetIndex::build_with(&full, &config));
+        assert_same_artifacts(&idx, &monolithic(&full));
         drop(idx);
 
         // Rebuilding over the same dataset reuses everything.
-        let (idx, stats) = builder.build_with_stats(&full, &parts_full, &config);
+        let (idx, stats) = builder.build_with_stats(&full, &parts_full);
         assert_eq!(
             stats,
             BuildStats { reused: parts_full.days.len(), computed: 0 }
         );
-        assert_same_artifacts(&idx, &DatasetIndex::build_with(&full, &config));
+        assert_same_artifacts(&idx, &monolithic(&full));
     }
 }

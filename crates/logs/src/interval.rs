@@ -77,8 +77,8 @@ impl IntervalIndex {
     }
 
     /// Builds the index from contiguous runs of intervals, computing the
-    /// per-run bucket registrations concurrently (under the `parallel`
-    /// feature) and merging them in run order.
+    /// per-run bucket registrations concurrently and merging them in run
+    /// order.
     ///
     /// The bucket geometry (origin, bucket count) is computed **globally**
     /// over all intervals, and runs partition the interval list in

@@ -116,9 +116,9 @@ pub fn attribute_events(
 
 /// [`attribute_events`] against a prebuilt job-span index.
 ///
-/// The stab loop runs over contiguous event chunks on scoped threads
-/// (with the `parallel` feature); chunk results are concatenated in
-/// input order, so the pair list is identical to the sequential scan.
+/// The stab loop runs over contiguous event chunks on scoped threads;
+/// chunk results are concatenated in input order, so the pair list is
+/// identical to the sequential scan.
 #[must_use]
 pub fn attribute_events_with(
     jobs: &[JobRecord],

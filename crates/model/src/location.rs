@@ -183,17 +183,6 @@ impl Location {
         (self.granularity >= Granularity::NodeBoard).then_some(self.board)
     }
 
-    /// The compute-card index within the board, if at card granularity or
-    /// finer.
-    pub fn card_index(&self) -> Option<u8> {
-        (self.granularity >= Granularity::ComputeCard).then_some(self.card)
-    }
-
-    /// The core index within the card, if at core granularity.
-    pub fn core_index(&self) -> Option<u8> {
-        (self.granularity >= Granularity::Core).then_some(self.core)
-    }
-
     /// This location truncated to rack granularity.
     pub fn rack_location(&self) -> Location {
         Location::rack(self.rack)

@@ -119,11 +119,6 @@ impl Machine {
     pub fn midplanes(&self) -> impl Iterator<Item = Location> + '_ {
         (0..self.total_midplanes() as u16).map(move |i| self.midplane_from_linear(i))
     }
-
-    /// Iterates over every rack location.
-    pub fn racks_iter(&self) -> impl Iterator<Item = Location> {
-        (0..self.racks as u8).map(Location::rack)
-    }
 }
 
 impl Default for Machine {

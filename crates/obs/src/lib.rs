@@ -71,7 +71,7 @@ pub const fn enabled() -> bool {
     cfg!(feature = "obs")
 }
 
-/// RAII guard returned by [`span`]: records the elapsed wall time under
+/// RAII guard returned by [`span()`]: records the elapsed wall time under
 /// the span's name when dropped (plus a timeline begin/end event pair
 /// when [`trace`] collection is on, and per-stage allocation deltas when
 /// the `obs-alloc` feature is on).

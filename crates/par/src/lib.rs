@@ -10,13 +10,12 @@
 //! over disjoint input chunks and then concatenate (or fold) the chunk
 //! results in input order. No reduction is reordered; floating-point
 //! sums happen in the same sequence as the sequential loop whenever the
-//! caller folds the returned vector sequentially, and [`par_fold`]
+//! caller folds the returned vector sequentially, and [`par_chunk_fold`]
 //! restricts merging to chunk-associative operations the caller
 //! declares.
 //!
-//! Parallelism is feature-gated: building with
-//! `--no-default-features` (or forcing [`with_max_threads`]`(1, ..)`)
-//! runs every combinator inline with zero thread overhead.
+//! Forcing [`with_max_threads`]`(1, ..)` runs every combinator inline
+//! on the caller's thread, with zero thread overhead.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -68,7 +67,7 @@ fn with_epilogue<R>(f: impl FnOnce() -> R) -> R {
 
 /// Number of worker threads a combinator may use for `n` items.
 fn workers_for(n: usize) -> usize {
-    if cfg!(not(feature = "parallel")) || n < 2 {
+    if n < 2 {
         return 1;
     }
     let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -82,9 +81,9 @@ fn workers_for(n: usize) -> usize {
 /// Runs `f` with the combinators capped at `limit` worker threads
 /// (process-wide), restoring the previous cap afterwards.
 ///
-/// `with_max_threads(1, ..)` forces the sequential code path even in a
-/// parallel build — the determinism regression tests compare its output
-/// against the fully parallel path.
+/// `with_max_threads(1, ..)` forces the sequential code path — the
+/// determinism regression tests compare its output against the fully
+/// parallel path.
 pub fn with_max_threads<T>(limit: usize, f: impl FnOnce() -> T) -> T {
     let prev = MAX_THREADS.swap(limit, Ordering::SeqCst);
     struct Restore(usize);
@@ -97,16 +96,10 @@ pub fn with_max_threads<T>(limit: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// `true` when the combinators may actually use more than one thread.
-#[must_use]
-pub fn is_parallel() -> bool {
-    workers_for(usize::MAX) > 1
-}
-
 /// Number of worker threads the combinators would use for an unbounded
 /// item count: the hardware parallelism clipped by any
-/// [`with_max_threads`] cap (always 1 in sequential builds). Lets
-/// callers size memory-bounded work waves to the real concurrency.
+/// [`with_max_threads`] cap. Lets callers size memory-bounded work
+/// waves to the real concurrency.
 #[must_use]
 pub fn max_workers() -> usize {
     workers_for(usize::MAX)
@@ -345,7 +338,7 @@ mod tests {
         let _ = par_map(&items, |x| x + 1);
         let after = CALLS.load(Ordering::SeqCst);
         set_worker_epilogue(|| {});
-        if is_parallel() {
+        if max_workers() > 1 {
             // One epilogue per spawned worker; the exact count depends
             // on the machine's parallelism, but there must be some.
             assert!(after > before, "epilogue never ran");
@@ -359,7 +352,7 @@ mod tests {
     fn with_max_threads_restores_on_exit() {
         let _cap = lock();
         with_max_threads(3, || {
-            assert!(workers_for(100) <= 3 || cfg!(not(feature = "parallel")));
+            assert!(workers_for(100) <= 3);
         });
         // After the closure the override is gone (0 = hardware default).
         assert_eq!(MAX_THREADS.load(Ordering::Relaxed), 0);

@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use bgq_core::analysis::Analysis;
-use bgq_core::filtering::FilterConfig;
 use bgq_core::index::IndexBuilder;
 use bgq_core::jobstats::EntityActivity;
 use bgq_core::ras_analysis::affected_jobs_indexed;
@@ -81,11 +80,13 @@ impl Epoch {
 
     /// Builds a consistent view over `ds`.
     ///
-    /// The analysis path is deliberately the batch CLI's:
-    /// `IndexBuilder::build_with_stats` + [`Analysis::run_indexed`] +
-    /// [`Analysis::mark_degraded`] is exactly
-    /// [`Analysis::run_degraded_partitioned`] with partition reuse, so a
-    /// live epoch is bit-identical to a batch run over the same prefix.
+    /// The analysis path is the batch CLI's:
+    /// `Analysis::run_indexed(&idx).mark_degraded(avail)` over the
+    /// day-partitioned index. [`IndexBuilder::build_with_stats`] differs
+    /// from `DatasetIndex::build_partitioned` only in reusing the days
+    /// `builder` has cached (both merge through the same code), so a live
+    /// epoch is bit-identical to a batch run over the same prefix.
+    ///
     /// `days` is the manifest's day list (it can exceed
     /// `parts.days` when a day holds only I/O rows, or when every
     /// segment of a day was quarantined).
@@ -106,7 +107,7 @@ impl Epoch {
                 q.day,
             )
         });
-        let (idx, _stats) = builder.build_with_stats(ds, parts, &FilterConfig::default());
+        let (idx, _stats) = builder.build_with_stats(ds, parts);
         let affected = [
             affected_jobs_indexed(&idx, Severity::Info),
             affected_jobs_indexed(&idx, Severity::Warn),

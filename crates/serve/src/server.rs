@@ -8,7 +8,7 @@
 //! a momentary read lock), malformed lines get `ERR` and the connection
 //! survives, and oversized lines switch the connection into
 //! skip-to-newline mode so buffer growth stays bounded by
-//! [`MAX_LINE`](crate::protocol::MAX_LINE) + one read chunk.
+//! [`MAX_LINE`] + one read chunk.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};

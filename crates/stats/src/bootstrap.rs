@@ -28,8 +28,8 @@ pub struct BootstrapCi {
 ///
 /// Each resample draws from its own RNG, seeded from `rng` up front in
 /// resample order. The resamples are therefore independent of execution
-/// order and run on scoped threads with the `parallel` feature — the
-/// interval is bit-identical to the sequential build.
+/// order and run on scoped threads — the interval is bit-identical to
+/// the sequential path.
 ///
 /// # Panics
 ///

@@ -83,11 +83,6 @@ impl Summary {
         self.variance.sqrt()
     }
 
-    /// Coefficient of variation (`σ/μ`); `NaN` for zero mean.
-    pub fn cv(&self) -> f64 {
-        self.std_dev() / self.mean
-    }
-
     /// Smallest observation.
     pub fn min(&self) -> f64 {
         self.min

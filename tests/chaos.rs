@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use bgq_chaos::{
     corrupt_segment, corrupt_table, plan_for_seed, ChaosLedger, FaultDir, FaultSpec, RowFate,
@@ -208,7 +208,7 @@ fn run_case(seed: u64) -> ChaosLedger {
 
     // Invariant 1: the analysis runs on whatever survived.
     let avail = report.availability();
-    let analysis = Analysis::run_degraded(&loaded, &avail);
+    let analysis = Analysis::run(&loaded).mark_degraded(&avail);
 
     if ledger.deleted {
         assert!(report.is_degraded(), "deletion must degrade the report");
@@ -234,6 +234,10 @@ fn run_case(seed: u64) -> ChaosLedger {
 /// Runs a seed range, dumping the ledger of any failing case to
 /// `target/chaos-ledgers/seed-<N>.json` for replay.
 fn run_corpus(seeds: std::ops::Range<u64>) {
+    // A case's scratch directory is named by seed and process, and the
+    // smoke and full corpora share seeds 0..12: one corpus at a time.
+    static CORPUS: Mutex<()> = Mutex::new(());
+    let _one_at_a_time = CORPUS.lock().unwrap_or_else(PoisonError::into_inner);
     let mut failures = Vec::new();
     for seed in seeds {
         let result = std::panic::catch_unwind(|| run_case(seed));
@@ -289,7 +293,7 @@ fn chaos_smoke_first_twelve_seeds() {
 
 /// The full corpus: 64 seeds crossing every corruption mode with every
 /// table (seeds 0..40 are the full cross product; 41..64 re-roll the
-/// inner choices). Run by CI in release in all three feature legs.
+/// inner choices). Run by CI in release in both feature legs.
 #[test]
 #[ignore = "full corpus; run in release via CI or --include-ignored"]
 fn chaos_corpus_64_seeds() {
@@ -322,7 +326,7 @@ fn deleting_any_single_table_degrades_instead_of_failing() {
         );
         let avail = report.availability();
         assert!(!avail.available(table));
-        let analysis = Analysis::run_degraded(&loaded, &avail);
+        let analysis = Analysis::run(&loaded).mark_degraded(&avail);
         if table == "tasks" {
             // No analysis stage reads the tasks table.
             assert!(analysis.degraded.is_empty());
@@ -562,7 +566,7 @@ fn segment_corruption_matches_ledger_exactly() {
             }
 
             // The analysis survives whatever remained.
-            let _ = Analysis::run_degraded(&loaded, &report.load.availability());
+            let _ = Analysis::run(&loaded).mark_degraded(&report.load.availability());
             std::fs::remove_dir_all(&case_dir).ok();
         }
     }
@@ -715,7 +719,7 @@ fn permanent_read_fault_quarantines_in_degraded_mode() {
     let stats = report.table("ras").unwrap();
     assert_eq!(stats.status, TableStatus::Quarantined(QuarantineReason::Io));
     assert_eq!(stats.retries, LoadOptions::default().max_retries);
-    let analysis = Analysis::run_degraded(&loaded, &report.availability());
+    let analysis = Analysis::run(&loaded).mark_degraded(&report.availability());
     assert!(analysis.degraded.iter().any(|d| d.stage == "ras"));
 }
 

@@ -1,10 +1,10 @@
 //! Parallel/sequential determinism regression.
 //!
-//! The `parallel` feature's one hard promise: running the full analysis
-//! on many threads produces **bit-identical** results to the sequential
-//! path. `bgq_par::with_max_threads(1, ..)` forces every combinator
-//! inline even in a parallel build, so one binary can compare both code
-//! paths directly — no tolerance, field by field.
+//! `bgq-par`'s one hard promise: running the full analysis on many
+//! threads produces **bit-identical** results to the sequential path.
+//! `bgq_par::with_max_threads(1, ..)` forces every combinator inline, so
+//! one binary can compare both code paths directly — no tolerance, field
+//! by field.
 
 use bgq_core::analysis::Analysis;
 use bgq_core::index::DatasetIndex;
@@ -16,7 +16,7 @@ fn parallel_analysis_is_bit_identical_to_sequential() {
     let out = generate(&SimConfig::small(10).with_seed(7));
     // Force 8 workers so the comparison is meaningful even on hosts with
     // few cores (the combinators honor the override beyond the hardware
-    // count); `--no-default-features` builds still run both sides inline.
+    // count).
     let par = bgq_par::with_max_threads(8, || Analysis::run(&out.dataset));
     let seq = bgq_par::with_max_threads(1, || Analysis::run(&out.dataset));
 

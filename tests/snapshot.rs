@@ -21,6 +21,8 @@
 use std::path::{Path, PathBuf};
 
 use bgq_core::analysis::Analysis;
+use bgq_core::filtering::FilterConfig;
+use bgq_core::index::DatasetIndex;
 use bgq_logs::snapshot::{self, PartitionMap};
 use bgq_logs::store::{Dataset, LoadOptions, SourceAvailability};
 use bgq_sim::{generate, SimConfig};
@@ -83,8 +85,8 @@ fn scrambled_dataset_round_trips_to_canonical_order_on_both_paths() {
     std::fs::remove_dir_all(&snap).ok();
 }
 
-/// Contract 3: the per-partition index build (what the CLI uses after a
-/// snapshot load) equals the monolithic one, all the way to the final
+/// Contract 3: the per-day index build (what the CLI runs after every
+/// load) equals the whole-dataset build, all the way to the final
 /// analysis artifact.
 #[test]
 fn partitioned_analysis_equals_monolithic() {
@@ -93,9 +95,10 @@ fn partitioned_analysis_equals_monolithic() {
     snapshot::write_dir(&ds, &snap, &SourceAvailability::ALL).expect("write snapshot");
     let (loaded, parts) = snapshot::read_dir(&snap).expect("load snapshot");
     let avail = SourceAvailability::ALL;
+    let idx = DatasetIndex::build_partitioned(&loaded, &parts, &FilterConfig::default());
     assert_eq!(
-        format!("{:?}", Analysis::run_degraded_partitioned(&loaded, &avail, &parts)),
-        format!("{:?}", Analysis::run_degraded(&loaded, &avail)),
+        format!("{:?}", Analysis::run_indexed(&idx).mark_degraded(&avail)),
+        format!("{:?}", Analysis::run(&loaded).mark_degraded(&avail)),
         "partitioned analysis must be bit-identical to the monolithic build"
     );
     std::fs::remove_dir_all(&snap).ok();
