@@ -183,8 +183,7 @@ impl Analysis {
     /// Every stage still runs — a degraded stage's result covers the
     /// records that survived, which is the honest best-effort answer;
     /// the marker is what keeps it from being read as the full trace.
-    /// The batch CLI and the serve layer's epochs both run
-    /// `Analysis::run_indexed(&idx).mark_degraded(&avail)`.
+    /// The batch CLI runs `Analysis::run_indexed(&idx).mark_degraded(&avail)`.
     #[must_use]
     pub fn mark_degraded(mut self, avail: &SourceAvailability) -> Self {
         self.degraded = degraded_stages(avail);

@@ -1,20 +1,23 @@
-//! Epoch-swapped analysis views.
+//! Epoch-swapped query views.
 //!
 //! An [`Epoch`] is one immutable, fully-owned, consistent view of the
-//! dataset: the complete [`Analysis`] plus the precomputed lookups the
-//! query protocol answers from. The [`EpochStore`] publishes epochs by
-//! swapping an `Arc` behind an `RwLock`; readers hold the lock only
-//! long enough to clone the `Arc`, so a query in flight keeps its epoch
-//! alive while ingestion publishes the next one, and the old epoch is
-//! freed the moment its last reader drops.
+//! dataset: only the values the query protocol answers from. Building
+//! one runs over the whole history: the index merge, per-user rows, rate
+//! by scale, MTTI and the three RAS↔job joins behind `AFFECTED` (costs in
+//! [`crate::ingest`]). The [`EpochStore`] publishes epochs by swapping an
+//! `Arc` behind an `RwLock`; readers hold the lock only long enough to
+//! clone the `Arc`, so a query in flight keeps its epoch alive while
+//! ingestion publishes the next one, and the old epoch is freed the
+//! moment its last reader drops.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use bgq_core::analysis::Analysis;
+use bgq_core::failure_rates::{by_scale, RateCurve};
+use bgq_core::filtering::{interruption_stats_indexed, InterruptionStats};
 use bgq_core::index::IndexBuilder;
-use bgq_core::jobstats::EntityActivity;
+use bgq_core::jobstats::{per_user, EntityActivity};
 use bgq_core::ras_analysis::affected_jobs_indexed;
 use bgq_logs::snapshot::{PartitionMap, SegmentQuarantine};
 use bgq_logs::store::{Dataset, SourceAvailability};
@@ -46,11 +49,14 @@ pub struct Epoch {
     pub rows: [usize; 4],
     /// Table availability as recorded by the live manifest.
     pub availability: SourceAvailability,
-    /// The full batch analysis over the view's dataset.
-    pub analysis: Analysis,
-    /// Per-user rows keyed by raw user id (same rows as
-    /// `analysis.per_user`).
-    pub users: HashMap<u32, EntityActivity>,
+    /// Per-user rows, descending by job count (the `TOPK` order).
+    pub(crate) per_user: Vec<EntityActivity>,
+    /// Raw user id → position of its row in `per_user`.
+    user_rows: HashMap<u32, usize>,
+    /// Job-log interruption statistics (`MTTI`, and the span of `MTTI <severity>`).
+    pub interruptions: InterruptionStats,
+    /// Failure rate by job scale (`RATE-BY-SCALE`).
+    pub rate_by_scale: RateCurve,
     /// `(affected jobs, attributed events)` per minimum severity, in
     /// [`Severity::ALL`] order (INFO, WARN, FATAL).
     pub affected: [(usize, usize); 3],
@@ -80,12 +86,11 @@ impl Epoch {
 
     /// Builds a consistent view over `ds`.
     ///
-    /// The analysis path is the batch CLI's:
-    /// `Analysis::run_indexed(&idx).mark_degraded(avail)` over the
-    /// day-partitioned index. [`IndexBuilder::build_with_stats`] differs
-    /// from `DatasetIndex::build_partitioned` only in reusing the days
-    /// `builder` has cached (both merge through the same code), so a live
-    /// epoch is bit-identical to a batch run over the same prefix.
+    /// Each served value comes from the stage function the batch analysis
+    /// runs over the day-partitioned index. [`IndexBuilder::build_with_stats`]
+    /// differs from `DatasetIndex::build_partitioned` only in reusing the
+    /// days `builder` has cached (both merge through the same code), so a
+    /// live epoch answers bit-identically to a batch run over the same prefix.
     ///
     /// `days` is the manifest's day list (it can exceed
     /// `parts.days` when a day holds only I/O rows, or when every
@@ -108,33 +113,31 @@ impl Epoch {
             )
         });
         let (idx, _stats) = builder.build_with_stats(ds, parts);
-        let affected = [
-            affected_jobs_indexed(&idx, Severity::Info),
-            affected_jobs_indexed(&idx, Severity::Warn),
-            affected_jobs_indexed(&idx, Severity::Fatal),
-        ];
-        let events_at_least = [
-            ds.ras.iter().filter(|r| r.severity >= Severity::Info).count(),
-            ds.ras.iter().filter(|r| r.severity >= Severity::Warn).count(),
-            ds.ras.iter().filter(|r| r.severity >= Severity::Fatal).count(),
-        ];
-        let analysis = Analysis::run_indexed(&idx).mark_degraded(avail);
-        let users = analysis
-            .per_user
+        let per_user = per_user(idx.jobs);
+        let user_rows = per_user
             .iter()
-            .map(|row| (row.id, row.clone()))
+            .enumerate()
+            .map(|(pos, row)| (row.id, pos))
             .collect();
         Epoch {
             epoch,
             days: days.to_vec(),
             rows: [ds.jobs.len(), ds.ras.len(), ds.tasks.len(), ds.io.len()],
             availability: *avail,
-            analysis,
-            users,
-            affected,
-            events_at_least,
+            per_user,
+            user_rows,
+            interruptions: interruption_stats_indexed(&idx),
+            rate_by_scale: by_scale(idx.jobs),
+            affected: Severity::ALL.map(|s| affected_jobs_indexed(&idx, s)),
+            events_at_least: Severity::ALL.map(|s| idx.events_at_least(s)),
             quarantined,
         }
+    }
+
+    /// The row of raw user id `id`, if that user has jobs in this view.
+    #[must_use]
+    pub(crate) fn user(&self, id: u32) -> Option<&EntityActivity> {
+        self.user_rows.get(&id).map(|&pos| &self.per_user[pos])
     }
 
     /// Tables that are degraded in this view — marked unavailable by the
@@ -214,6 +217,75 @@ impl Default for EpochStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{respond, Query};
+    use bgq_core::analysis::Analysis;
+    use bgq_core::filtering::FilterConfig;
+    use bgq_core::index::DatasetIndex;
+    use bgq_sim::{generate, SimConfig};
+
+    /// The live view and the batch analysis agree value for value: the
+    /// served fields come from the same stage functions over the same
+    /// partitioned index, so a reply rendered from an epoch is a reply
+    /// about the batch result. (`tests/serve.rs` cannot show this: its
+    /// oracle is `Epoch::build` itself.)
+    #[test]
+    fn served_values_equal_the_batch_analysis() {
+        let config = SimConfig::small(10)
+            .with_seed(33)
+            .with_users(25, 3)
+            .with_retries(0.2);
+        let ds = generate(&config).dataset;
+        let parts = PartitionMap::of_dataset(&ds);
+        let days: Vec<i64> = parts.days.iter().map(|p| p.day).collect();
+        assert!(days.len() > 1, "the trace must span several days");
+        assert!(
+            ds.jobs.iter().any(|j| j.resubmit_of.is_some()),
+            "no retries"
+        );
+        let e = Epoch::build(
+            1,
+            &ds,
+            &parts,
+            &days,
+            &SourceAvailability::ALL,
+            &mut IndexBuilder::new(),
+            Vec::new(),
+        );
+
+        let idx = DatasetIndex::build_partitioned(&ds, &parts, &FilterConfig::default());
+        let batch = Analysis::run_indexed(&idx);
+        assert!(
+            batch.per_user.len() > 1,
+            "the trace must have several users"
+        );
+        assert!(batch.interruptions.interrupted_jobs > 0, "no interruptions");
+        assert_eq!(e.per_user, batch.per_user);
+        assert_eq!(e.interruptions, batch.interruptions);
+        assert_eq!(e.rate_by_scale, batch.rate_by_scale);
+        assert_eq!(
+            e.affected,
+            Severity::ALL.map(|s| affected_jobs_indexed(&idx, s))
+        );
+        assert_eq!(
+            e.events_at_least,
+            Severity::ALL.map(|s| ds.ras.iter().filter(|r| r.severity >= s).count())
+        );
+
+        for row in &e.per_user {
+            assert_eq!(
+                e.user(row.id),
+                Some(row),
+                "user {} resolves elsewhere",
+                row.id
+            );
+        }
+        let absent = e.per_user.iter().map(|r| r.id).max().unwrap() + 1;
+        assert_eq!(e.user(absent), None);
+        assert_eq!(
+            respond(&e, &Query::User(absent)),
+            format!("OK 1 1\nuser {absent} jobs 0 failed 0 node-seconds 0 core-hours 0.000\n")
+        );
+    }
 
     #[test]
     fn empty_epoch_answers_without_rows() {

@@ -8,12 +8,12 @@
 //! a corrupt segment quarantines per-table instead of killing the
 //! daemon), and the [`IndexBuilder`] computes per-day artifacts only for
 //! the new days. The rest of a poll runs over the whole history:
-//! `Dataset::normalize`, `PartitionMap::of_dataset`, the filter funnel
-//! and the concatenation in `DatasetIndex::merge`, every analysis
-//! stage, and the per-user map in [`Epoch::build`]. A tick therefore
-//! costs O(history): on a two-core machine one took ~190 ms over 365
-//! days of history and ~1.08 s over 2000 days (the benchmark's traced
-//! `live_tail` run reports `ingest.poll_ms.p50` and `epoch.build_ms`).
+//! `Dataset::normalize`, `PartitionMap::of_dataset`, the filter funnel,
+//! `DatasetIndex::merge`, and the served values of [`Epoch::build`] —
+//! per-user rows, rate by scale, MTTI, and the three RAS↔job joins behind
+//! `AFFECTED`, which cost the most. A tick therefore costs O(history):
+//! on two cores one took ~210 ms over 365 days of history and ~1.0 s over
+//! 2000 days (traced `ingest.poll_ms.p50` in `live_tail` and `archive`).
 //! The epoch is built entirely off-lock and published with an O(1)
 //! swap, so queries are never blocked by ingestion.
 
@@ -63,18 +63,6 @@ impl Ingestor {
             store,
             next_epoch: 1,
         }
-    }
-
-    /// The store this ingestor publishes into.
-    #[must_use]
-    pub fn store(&self) -> &Arc<EpochStore> {
-        &self.store
-    }
-
-    /// Days ingested so far.
-    #[must_use]
-    pub fn days(&self) -> &[i64] {
-        &self.days
     }
 
     /// One tick: discover newly committed days, load their segments,

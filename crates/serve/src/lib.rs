@@ -8,11 +8,11 @@
 //!
 //! * [`ingest`] tails a live snapshot directory through
 //!   [`bgq_logs::snapshot::ManifestTail`], loading only newly committed
-//!   day segments and reusing the cached per-day index artifacts. The
-//!   rest of a tick still runs over the whole history (see [`ingest`]).
+//!   day segments and reusing the cached per-day index artifacts; the
+//!   index merge and the served stages still run over the whole history.
 //! * [`epoch`] holds the epoch-swap machinery: each consistent view is
-//!   an immutable [`epoch::Epoch`] published behind an
-//!   `RwLock<Arc<Epoch>>`. Queries clone the `Arc` under a momentary
+//!   an immutable [`epoch::Epoch`] of the served values, published behind
+//!   an `RwLock<Arc<Epoch>>`. Queries clone the `Arc` under a momentary
 //!   read lock and then answer entirely off-lock, so ingestion never
 //!   blocks queries and queries never block ingestion; dropping the
 //!   last reader of a superseded epoch frees it.

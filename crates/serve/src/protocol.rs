@@ -147,8 +147,7 @@ pub fn respond(epoch: &Epoch, query: &Query) -> String {
 fn payload_lines(epoch: &Epoch, query: &Query) -> Vec<String> {
     match query {
         Query::User(id) => {
-            let row = epoch.users.get(id);
-            let (jobs, failed, ns, ch) = row.map_or((0, 0, 0, 0.0), |r| {
+            let (jobs, failed, ns, ch) = epoch.user(*id).map_or((0, 0, 0, 0.0), |r| {
                 (r.jobs, r.failed, r.node_seconds, r.core_hours)
             });
             vec![format!(
@@ -156,7 +155,7 @@ fn payload_lines(epoch: &Epoch, query: &Query) -> Vec<String> {
             )]
         }
         Query::Mtti(None) => {
-            let i = &epoch.analysis.interruptions;
+            let i = &epoch.interruptions;
             vec![format!(
                 "interrupted-jobs {} span-days {:.4} mtti-days {}",
                 i.interrupted_jobs,
@@ -167,7 +166,7 @@ fn payload_lines(epoch: &Epoch, query: &Query) -> Vec<String> {
         Query::Mtti(Some(sev)) => {
             let slot = Epoch::severity_slot(*sev);
             let events = epoch.events_at_least[slot];
-            let span = epoch.analysis.interruptions.span_days;
+            let span = epoch.interruptions.span_days;
             let mean = (events > 0).then(|| span / events as f64);
             vec![format!(
                 "severity {} events {events} span-days {span:.4} mean-days-between {}",
@@ -176,7 +175,7 @@ fn payload_lines(epoch: &Epoch, query: &Query) -> Vec<String> {
             )]
         }
         Query::RateByScale => {
-            let curve = &epoch.analysis.rate_by_scale;
+            let curve = &epoch.rate_by_scale;
             let mut lines: Vec<String> = curve
                 .buckets
                 .iter()
@@ -206,7 +205,6 @@ fn payload_lines(epoch: &Epoch, query: &Query) -> Vec<String> {
             )]
         }
         Query::TopK(k) => epoch
-            .analysis
             .per_user
             .iter()
             .take(*k)
@@ -232,7 +230,7 @@ fn payload_lines(epoch: &Epoch, query: &Query) -> Vec<String> {
                     "rows jobs {} ras {} tasks {} io {}",
                     epoch.rows[0], epoch.rows[1], epoch.rows[2], epoch.rows[3]
                 ),
-                format!("users {}", epoch.analysis.per_user.len()),
+                format!("users {}", epoch.per_user.len()),
             ];
             let degraded = epoch.degraded_tables();
             if degraded.is_empty() {

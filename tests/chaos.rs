@@ -23,6 +23,8 @@
 //! 64-seed corpus is `#[ignore]`d and run by CI in release in all three
 //! feature legs, mirroring the oracle corpus.
 
+mod common;
+
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -728,36 +730,6 @@ fn permanent_read_fault_quarantines_in_degraded_mode() {
 // actively tailing.
 // ---------------------------------------------------------------------------
 
-/// Batch oracle for the live daemon: a cold degraded load of the whole
-/// directory rendered into an `Epoch` with the daemon's epoch number.
-fn live_batch_epoch(
-    root: &Path,
-    epoch_no: u64,
-    load: &LoadOptions,
-) -> bgq_serve::Epoch {
-    let manifest = snapshot::read_manifest(root).expect("manifest");
-    let (ds, report) = snapshot::read_dir_with(root, load).expect("batch load");
-    let quarantined = report
-        .quarantined_segments()
-        .into_iter()
-        .map(|seg| bgq_serve::QuarantinedSegment {
-            table: seg.table,
-            day: seg.day,
-            reason: seg.quarantined.expect("quarantine reason"),
-        })
-        .collect();
-    let parts = snapshot::PartitionMap::of_dataset(&ds);
-    bgq_serve::Epoch::build(
-        epoch_no,
-        &ds,
-        &parts,
-        &manifest.days,
-        &manifest.availability,
-        &mut bgq_core::index::IndexBuilder::new(),
-        quarantined,
-    )
-}
-
 /// Corruption lands in segments *as they appear* in a live feed: the
 /// daemon quarantines per table, raises the degraded banner in `STATS`,
 /// never drops the established connection, and every post-fault reply
@@ -794,7 +766,7 @@ fn live_tail_quarantines_faults_without_dropping_connections() {
     ];
     let assert_matches_oracle = |client: &mut bgq_serve::Client, tag: &str| {
         let epoch_no = store.current().epoch;
-        let oracle = live_batch_epoch(&dir, epoch_no, &load);
+        let oracle = common::batch_epoch(&dir, epoch_no, &load);
         for q in &queries {
             let live = client.query(q).expect("query over surviving connection");
             let batch = bgq_serve::respond(&oracle, &bgq_serve::parse_query(q).unwrap());

@@ -19,17 +19,16 @@
 //!    the epoch tag is monotonic per connection, and old epochs are
 //!    actually freed once unpinned.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bgq_core::index::IndexBuilder;
-use bgq_logs::snapshot::{self, PartitionMap};
 use bgq_logs::store::LoadOptions;
 use bgq_serve::{
-    epoch_of, parse_query, respond, start, Client, Epoch, EpochStore, Ingestor, QuarantinedSegment,
-    ServerOptions,
+    epoch_of, parse_query, respond, start, Client, Epoch, EpochStore, Ingestor, ServerOptions,
 };
 use bgq_serve::protocol::{error_reply, MAX_LINE};
 use bgq_sim::{LiveEmitter, SimConfig};
@@ -74,33 +73,6 @@ fn tolerant_load() -> LoadOptions {
     }
 }
 
-/// The batch oracle: a cold full load of `root` and a cold index build,
-/// rendered into an [`Epoch`] carrying `epoch_no` so its `OK` headers
-/// line up with the daemon's.
-fn batch_epoch(root: &Path, epoch_no: u64, load: &LoadOptions) -> Epoch {
-    let manifest = snapshot::read_manifest(root).expect("batch manifest");
-    let (ds, report) = snapshot::read_dir_with(root, load).expect("batch load");
-    let quarantined: Vec<QuarantinedSegment> = report
-        .quarantined_segments()
-        .into_iter()
-        .map(|seg| QuarantinedSegment {
-            table: seg.table,
-            day: seg.day,
-            reason: seg.quarantined.expect("quarantined segment has a reason"),
-        })
-        .collect();
-    let parts = PartitionMap::of_dataset(&ds);
-    Epoch::build(
-        epoch_no,
-        &ds,
-        &parts,
-        &manifest.days,
-        &manifest.availability,
-        &mut IndexBuilder::new(),
-        quarantined,
-    )
-}
-
 /// Satellite 1: after each tick the daemon's TCP replies are
 /// byte-identical to the batch oracle over the same day prefix, across
 /// every epoch of the feed (well over the required three).
@@ -123,7 +95,7 @@ fn live_daemon_matches_batch_replies_every_epoch() {
         epochs += 1;
         let current = store.current();
         assert_eq!(current.epoch, epochs, "epoch counts committed ticks");
-        let oracle = batch_epoch(&dir, current.epoch, &tolerant_load());
+        let oracle = common::batch_epoch(&dir, current.epoch, &tolerant_load());
         for q in QUERIES {
             let live = client.query(q).expect("live query");
             let batch = respond(&oracle, &parse_query(q).expect("query parses"));
