@@ -197,8 +197,8 @@ USAGE:
 
   mira-mine serve DIR [--port P] [--workers N] [--poll-ms MS]
       Run the always-on analysis daemon over the snapshot directory DIR.
-      The daemon tails DIR's MANIFEST (O(new days) per poll), extends the
-      partitioned index incrementally as `gen --live` commits new days,
+      The daemon tails DIR's MANIFEST (O(new days) per poll), folds each
+      day `gen --live` commits into running totals of the served values,
       and publishes each consistent view as an epoch-swapped snapshot —
       queries never block on ingestion and always see a complete epoch.
       Answers a line protocol over TCP: USER <id>, MTTI [SEV],

@@ -66,31 +66,65 @@ pub fn per_entity_columnar(
     key: impl Fn(&JobRecord) -> u32 + Sync,
     chunk_rows: usize,
 ) -> Vec<EntityActivity> {
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
-    let n_chunks = jobs.len().div_ceil(chunk_rows);
-    // Wave-bounded map+fold: materializing every chunk partial before
-    // merging would hold O(n_chunks × chunk keys) resident — more than
-    // the map-scan this engine replaces. One chunk per worker keeps the
-    // map fully parallel while the fold frees each wave before the next.
-    // The fold stays strictly left-to-right over chunk order (integer
-    // sums make the merge associative), so the wave size — a function
-    // of thread count — can never change the output bytes.
-    let wave = bgq_par::max_workers().max(1);
-    let mut acc: Vec<Partial> = Vec::new();
-    let mut done = 0;
-    while done < n_chunks {
-        let n = wave.min(n_chunks - done);
-        let partials = bgq_par::par_map_range(n, |i| {
-            let start = (done + i) * chunk_rows;
-            let end = (start + chunk_rows).min(jobs.len());
-            chunk_partial(&jobs[start..end], &key)
-        });
-        for part in &partials {
-            merge_into(&mut acc, part);
-        }
-        done += n;
+    let mut tally = EntityTally::default();
+    tally.add_chunked(jobs, &key, chunk_rows);
+    finalize(tally.acc)
+}
+
+/// A running per-entity aggregate: the engine's id-sorted accumulator,
+/// folded one batch of jobs at a time.
+///
+/// Every quantity is an integer, so adding a log in one batch or one
+/// day at a time gives the same rows; the serve daemon keeps one of
+/// these instead of the job history.
+#[derive(Debug, Clone, Default)]
+pub struct EntityTally {
+    acc: Vec<Partial>,
+}
+
+impl EntityTally {
+    /// Folds `jobs` in, keyed by `key`.
+    pub fn add(&mut self, jobs: &[JobRecord], key: impl Fn(&JobRecord) -> u32 + Sync) {
+        self.add_chunked(jobs, &key, DEFAULT_CHUNK_ROWS);
     }
-    finalize(acc)
+
+    fn add_chunked(
+        &mut self,
+        jobs: &[JobRecord],
+        key: &(impl Fn(&JobRecord) -> u32 + Sync),
+        chunk_rows: usize,
+    ) {
+        assert!(chunk_rows > 0, "chunk_rows must be positive");
+        let n_chunks = jobs.len().div_ceil(chunk_rows);
+        // Wave-bounded map+fold: materializing every chunk partial before
+        // merging would hold O(n_chunks × chunk keys) resident — more than
+        // the map-scan this engine replaces. One chunk per worker keeps the
+        // map fully parallel while the fold frees each wave before the next.
+        // The fold stays strictly left-to-right over chunk order (integer
+        // sums make the merge associative), so the wave size — a function
+        // of thread count — can never change the output bytes.
+        let wave = bgq_par::max_workers().max(1);
+        let mut done = 0;
+        while done < n_chunks {
+            let n = wave.min(n_chunks - done);
+            let partials = bgq_par::par_map_range(n, |i| {
+                let start = (done + i) * chunk_rows;
+                let end = (start + chunk_rows).min(jobs.len());
+                chunk_partial(&jobs[start..end], key)
+            });
+            for part in &partials {
+                merge_into(&mut self.acc, part);
+            }
+            done += n;
+        }
+    }
+
+    /// The rows of every job added so far, in presentation order (jobs
+    /// descending, id ascending).
+    #[must_use]
+    pub fn rows(&self) -> Vec<EntityActivity> {
+        finalize(self.acc.clone())
+    }
 }
 
 /// Sorts one chunk's column strip by key and folds equal-key runs.
@@ -279,6 +313,16 @@ mod tests {
         let eight =
             bgq_par::with_max_threads(8, || per_entity_columnar(&jobs, |j| j.user.raw(), 128));
         assert_eq!(one, eight);
+    }
+
+    #[test]
+    fn batch_by_batch_fold_matches_one_pass() {
+        let jobs = corpus();
+        let mut tally = EntityTally::default();
+        for batch in jobs.chunks(97) {
+            tally.add(batch, |j| j.user.raw());
+        }
+        assert_eq!(tally.rows(), per_user_columnar(&jobs));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! by a structural attribute and report the per-bucket failure rate, plus
 //! a rank correlation between the attribute and failure.
 
+use std::collections::{BTreeMap, HashMap};
+
 use bgq_model::JobRecord;
-use bgq_stats::correlation::spearman;
+use bgq_stats::correlation::pearson;
 
 /// One bucket of a failure-rate curve.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,10 +45,11 @@ pub struct RateCurve {
     pub spearman_rho: Option<f64>,
 }
 
-/// Total-order key for an `f64` bucket edge: monotone in the float's value,
-/// so distinct edges get distinct `BTreeMap` keys. (`lo as i64` truncated,
-/// collapsing any two edges in the same unit interval — e.g. `0.25` and
-/// `0.75` — into one bucket.)
+/// Total-order key for an `f64`: monotone in the float's value, so
+/// distinct bucket edges get distinct `BTreeMap` keys. (`lo as i64`
+/// truncated, collapsing any two edges in the same unit interval — e.g.
+/// `0.25` and `0.75` — into one bucket.) It also keys a [`RateTally`]'s
+/// distinct attribute values.
 fn ord_key(x: f64) -> u64 {
     let b = x.to_bits();
     if b >> 63 == 1 {
@@ -56,34 +59,167 @@ fn ord_key(x: f64) -> u64 {
     }
 }
 
+/// The running counts behind one failure-rate curve: `(jobs, failed)`
+/// per distinct attribute value, plus a compact per-job column of
+/// `(value slot, failed)` in job order.
+///
+/// [`RateTally::add`] folds a batch of jobs in; [`RateTally::curve`]
+/// renders buckets from the per-value counts and Spearman's ρ from
+/// mid-ranks derived from the same counts. A curve over a job log is one
+/// `add` of the whole log; the serve daemon adds one day at a time, and
+/// the two agree bit for bit because `curve` sees the same counts and
+/// the same column either way.
+#[derive(Debug, Clone)]
+pub struct RateTally {
+    attribute: fn(&JobRecord) -> f64,
+    /// Lower edge of the bucket an attribute value falls in.
+    edge_of: fn(f64) -> f64,
+    /// Label of the bucket with a given lower edge.
+    label_of: fn(f64) -> String,
+    /// Distinct attribute values in first-seen order: `(value, jobs, failed)`.
+    values: Vec<(f64, usize, usize)>,
+    /// [`ord_key`] of a distinct value → its slot in `values`.
+    slots: HashMap<u64, u32>,
+    /// Per job, in job order: its value's slot and whether it failed.
+    column: Vec<(u32, bool)>,
+}
+
+impl RateTally {
+    fn new(
+        attribute: fn(&JobRecord) -> f64,
+        edge_of: fn(f64) -> f64,
+        label_of: fn(f64) -> String,
+    ) -> Self {
+        RateTally {
+            attribute,
+            edge_of,
+            label_of,
+            values: Vec::new(),
+            slots: HashMap::new(),
+            column: Vec::new(),
+        }
+    }
+
+    /// The empty tally behind [`by_scale`].
+    #[must_use]
+    pub fn by_scale() -> Self {
+        RateTally::new(scale_of, scale_edge, edge_label)
+    }
+
+    /// Folds `jobs` in, after every job added so far.
+    pub fn add(&mut self, jobs: &[JobRecord]) {
+        self.column.reserve(jobs.len());
+        for j in jobs {
+            let x = (self.attribute)(j);
+            let failed = j.exit_code != 0;
+            let next = self.values.len() as u32;
+            let slot = *self.slots.entry(ord_key(x)).or_insert(next);
+            if slot == next {
+                self.values.push((x, 0, 0));
+            }
+            let v = &mut self.values[slot as usize];
+            v.1 += 1;
+            v.2 += usize::from(failed);
+            self.column.push((slot, failed));
+        }
+    }
+
+    /// The curve over every job added so far.
+    #[must_use]
+    pub fn curve(&self) -> RateCurve {
+        // Key buckets by the total-order bits of their lower edge; a
+        // bucket's label is made once, not once per distinct value.
+        let mut map: BTreeMap<u64, RateBucket> = BTreeMap::new();
+        for &(x, jobs, failed) in &self.values {
+            let lo = (self.edge_of)(x);
+            let entry = map.entry(ord_key(lo)).or_insert_with(|| RateBucket {
+                label: (self.label_of)(lo),
+                lo,
+                jobs: 0,
+                failed: 0,
+            });
+            entry.jobs += jobs;
+            entry.failed += failed;
+        }
+        RateCurve {
+            buckets: map.into_values().collect(),
+            spearman_rho: self.spearman(),
+        }
+    }
+
+    /// `spearman(attribute, failed)` over the jobs in job order, from
+    /// mid-ranks computed off the per-value counts: bit-identical to
+    /// [`bgq_stats::correlation::spearman`], which ranks by sorting.
+    fn spearman(&self) -> Option<f64> {
+        let n = self.column.len();
+        if n < 2 || self.values.iter().any(|v| !v.0.is_finite()) {
+            return None;
+        }
+        // A tie group occupying sorted positions i..=j gets rank
+        // (i + j) / 2 + 1, exactly as `ranks` computes it.
+        let mid_rank = |i: usize, j: usize| (i + j) as f64 / 2.0 + 1.0;
+        let mut order: Vec<usize> = (0..self.values.len()).collect();
+        order.sort_by(|&a, &b| {
+            self.values[a]
+                .0
+                .partial_cmp(&self.values[b].0)
+                .expect("finite values")
+        });
+        let mut rank_of = vec![0.0; self.values.len()];
+        let mut below = 0;
+        for group in order.chunk_by(|&a, &b| self.values[a].0 == self.values[b].0) {
+            let count: usize = group.iter().map(|&s| self.values[s].1).sum();
+            for &s in group {
+                rank_of[s] = mid_rank(below, below + count - 1);
+            }
+            below += count;
+        }
+        let ok = n - self.values.iter().map(|v| v.2).sum::<usize>();
+        let y_rank = [mid_rank(0, ok.saturating_sub(1)), mid_rank(ok, n - 1)];
+        let rx: Vec<f64> = self
+            .column
+            .iter()
+            .map(|&(s, _)| rank_of[s as usize])
+            .collect();
+        let ry: Vec<f64> = self
+            .column
+            .iter()
+            .map(|&(_, failed)| y_rank[usize::from(failed)])
+            .collect();
+        pearson(&rx, &ry)
+    }
+}
+
 fn curve(
     jobs: &[JobRecord],
-    attribute: impl Fn(&JobRecord) -> f64,
-    bucket_of: impl Fn(f64) -> (String, f64),
+    attribute: fn(&JobRecord) -> f64,
+    edge_of: fn(f64) -> f64,
+    label_of: fn(f64) -> String,
 ) -> RateCurve {
-    use std::collections::BTreeMap;
-    // Key buckets by the total-order bits of their lower edge.
-    let mut map: BTreeMap<u64, RateBucket> = BTreeMap::new();
-    let mut xs = Vec::with_capacity(jobs.len());
-    let mut ys = Vec::with_capacity(jobs.len());
-    for j in jobs {
-        let x = attribute(j);
-        let (label, lo) = bucket_of(x);
-        let entry = map.entry(ord_key(lo)).or_insert_with(|| RateBucket {
-            label,
-            lo,
-            jobs: 0,
-            failed: 0,
-        });
-        entry.jobs += 1;
-        entry.failed += usize::from(j.exit_code != 0);
-        xs.push(x);
-        ys.push(if j.exit_code != 0 { 1.0 } else { 0.0 });
-    }
-    RateCurve {
-        buckets: map.into_values().collect(),
-        spearman_rho: spearman(&xs, &ys),
-    }
+    let mut tally = RateTally::new(attribute, edge_of, label_of);
+    tally.add(jobs);
+    tally.curve()
+}
+
+fn scale_of(j: &JobRecord) -> f64 {
+    f64::from(j.nodes)
+}
+
+fn scale_edge(x: f64) -> f64 {
+    (x as u64).max(1).next_power_of_two() as f64
+}
+
+/// A bucket labelled by its integral lower edge (`"1024"` nodes).
+fn edge_label(lo: f64) -> String {
+    format!("{}", lo as u64)
+}
+
+fn decade_edge(x: f64) -> f64 {
+    f64::from(x.log10().floor() as i32)
+}
+
+fn decade_label(lo: f64) -> String {
+    format!("1e{}", lo as i32)
 }
 
 /// Failure rate by job scale (nodes), one bucket per power-of-two size
@@ -91,14 +227,7 @@ fn curve(
 /// 768-node job counts toward the `1024` bucket — matching the doc rather
 /// than the old behavior of one bucket per distinct node count.
 pub fn by_scale(jobs: &[JobRecord]) -> RateCurve {
-    curve(
-        jobs,
-        |j| f64::from(j.nodes),
-        |x| {
-            let p = (x as u64).max(1).next_power_of_two();
-            (format!("{p}"), p as f64)
-        },
-    )
+    curve(jobs, scale_of, scale_edge, edge_label)
 }
 
 /// Failure rate by number of tasks: buckets 1, 2, 3, 4-7, 8+ (E6).
@@ -106,15 +235,17 @@ pub fn by_tasks(jobs: &[JobRecord]) -> RateCurve {
     curve(
         jobs,
         |j| f64::from(j.num_tasks),
-        |x| {
-            let t = x as u64;
-            match t {
-                0 | 1 => ("1".into(), 1.0),
-                2 => ("2".into(), 2.0),
-                3 => ("3".into(), 3.0),
-                4..=7 => ("4-7".into(), 4.0),
-                _ => ("8+".into(), 8.0),
-            }
+        |x| match x as u64 {
+            0 | 1 => 1.0,
+            2 => 2.0,
+            3 => 3.0,
+            4..=7 => 4.0,
+            _ => 8.0,
+        },
+        |lo| match lo as u64 {
+            4 => "4-7".into(),
+            8 => "8+".into(),
+            t => t.to_string(),
         },
     )
 }
@@ -128,10 +259,8 @@ pub fn by_core_hours(jobs: &[JobRecord]) -> RateCurve {
         |j| {
             (f64::from(j.nodes) * 16.0 * f64::from(j.requested_walltime_s) / 3_600.0).max(1.0)
         },
-        |x| {
-            let decade = x.log10().floor() as i32;
-            (format!("1e{decade}"), f64::from(decade))
-        },
+        decade_edge,
+        decade_label,
     )
 }
 
@@ -142,14 +271,7 @@ pub fn by_core_hours(jobs: &[JobRecord]) -> RateCurve {
 /// [`by_core_hours`] because naively correlating failure with consumption
 /// inverts the paper's finding.
 pub fn by_consumed_core_hours(jobs: &[JobRecord]) -> RateCurve {
-    curve(
-        jobs,
-        |j| j.core_hours().max(1.0),
-        |x| {
-            let decade = x.log10().floor() as i32;
-            (format!("1e{decade}"), f64::from(decade))
-        },
-    )
+    curve(jobs, |j| j.core_hours().max(1.0), decade_edge, decade_label)
 }
 
 #[cfg(test)]
@@ -227,13 +349,8 @@ mod tests {
         let c = curve(
             &jobs,
             |j| f64::from(j.nodes),
-            |x| {
-                if x < 1024.0 {
-                    ("small".into(), 0.25)
-                } else {
-                    ("big".into(), 0.75)
-                }
-            },
+            |x| if x < 1024.0 { 0.25 } else { 0.75 },
+            |lo| (if lo < 0.5 { "small" } else { "big" }).into(),
         );
         assert_eq!(c.buckets.len(), 2);
         assert_eq!(c.buckets[0].label, "small");
@@ -250,12 +367,22 @@ mod tests {
             |j| f64::from(j.nodes),
             |x| {
                 if x < 1024.0 {
-                    ("neg".into(), -0.5)
+                    -0.5
                 } else if x < 4096.0 {
-                    ("zero".into(), 0.5)
+                    0.5
                 } else {
-                    ("pos".into(), 1.5)
+                    1.5
                 }
+            },
+            |lo| {
+                let label = if lo < 0.0 {
+                    "neg"
+                } else if lo < 1.0 {
+                    "zero"
+                } else {
+                    "pos"
+                };
+                label.into()
             },
         );
         let labels: Vec<&str> = c.buckets.iter().map(|b| b.label.as_str()).collect();

@@ -281,30 +281,44 @@ pub struct InterruptionStats {
     pub mean_gap_days: Option<f64>,
 }
 
+impl InterruptionStats {
+    /// The statistics from the system-kill end times, ascending, and the
+    /// job log's first start and last end (`None` for an empty log).
+    #[must_use]
+    pub fn from_kills(
+        kills: &[Timestamp],
+        first_start: Option<Timestamp>,
+        last_end: Option<Timestamp>,
+    ) -> InterruptionStats {
+        let span_days = match (first_start, last_end) {
+            (Some(a), Some(b)) => (b - a).as_days(),
+            _ => 0.0,
+        };
+        let mtti_days =
+            (!kills.is_empty() && span_days > 0.0).then(|| span_days / kills.len() as f64);
+        let mean_gap_days = (kills.len() >= 2).then(|| {
+            let total: f64 = kills.windows(2).map(|w| (w[1] - w[0]).as_days()).sum();
+            total / (kills.len() - 1) as f64
+        });
+        InterruptionStats {
+            interrupted_jobs: kills.len(),
+            span_days,
+            mtti_days,
+            mean_gap_days,
+        }
+    }
+}
+
 /// Computes MTTI from the job log alone. The kill times come out of the
 /// index's end-time ordering already classified and sorted.
 #[must_use]
 pub fn interruption_stats_indexed(idx: &crate::index::DatasetIndex<'_>) -> InterruptionStats {
     let jobs = idx.jobs;
-    let kills = idx.end_times_where(|c| c == ExitClass::SystemKill);
-    let span_days = match (
+    InterruptionStats::from_kills(
+        &idx.end_times_where(|c| c == ExitClass::SystemKill),
         jobs.iter().map(|j| j.started_at).min(),
         jobs.iter().map(|j| j.ended_at).max(),
-    ) {
-        (Some(a), Some(b)) => (b - a).as_days(),
-        _ => 0.0,
-    };
-    let mtti_days = (!kills.is_empty() && span_days > 0.0).then(|| span_days / kills.len() as f64);
-    let mean_gap_days = (kills.len() >= 2).then(|| {
-        let total: f64 = kills.windows(2).map(|w| (w[1] - w[0]).as_days()).sum();
-        total / (kills.len() - 1) as f64
-    });
-    InterruptionStats {
-        interrupted_jobs: kills.len(),
-        span_days,
-        mtti_days,
-        mean_gap_days,
-    }
+    )
 }
 
 /// Of the filtered incidents, how many struck hardware that was running a

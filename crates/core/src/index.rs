@@ -12,8 +12,8 @@
 //!
 //! There is one build: per-day artifacts merged into the full index.
 //! [`DatasetIndex::build_partitioned`] computes every day of a
-//! [`PartitionMap`], [`IndexBuilder`] reuses the days it has cached, and
-//! [`DatasetIndex::build`] treats the whole dataset as one partition.
+//! [`PartitionMap`], and [`DatasetIndex::build`] treats the whole
+//! dataset as one partition.
 //!
 //! Everything here is deterministic: eager artifacts are built with
 //! order-preserving combinators, and the lazily memoized joins are pure
@@ -22,7 +22,6 @@
 //!
 //! [`Analysis::run`]: crate::analysis::Analysis::run
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -141,14 +140,13 @@ impl<'a> DatasetIndex<'a> {
         let (jobs, ras) = (ds.jobs.as_slice(), ds.ras.as_slice());
         #[cfg(debug_assertions)]
         {
-            let (mut j, mut r) = (0, 0);
+            let mut j = 0;
             for a in arts {
                 assert_eq!(a.jobs.start, j, "job runs must be contiguous");
-                assert_eq!(a.ras.start, r, "ras runs must be contiguous");
                 j = a.jobs.end;
-                r = a.ras.end;
             }
             assert_eq!(j, jobs.len(), "job runs must cover the job log");
+            let r: usize = arts.iter().flat_map(|a| &a.by_severity).map(Vec::len).sum();
             assert_eq!(r, ras.len(), "ras runs must cover the RAS log");
         }
         let ((exit_classes, jobs_by_end, job_spans), (filter, by_severity)) = bgq_par::join(
@@ -214,15 +212,6 @@ impl<'a> DatasetIndex<'a> {
         }
     }
 
-    /// Number of RAS records of at least `min_severity`.
-    #[must_use]
-    pub fn events_at_least(&self, min_severity: Severity) -> usize {
-        self.by_severity[rank(min_severity)..]
-            .iter()
-            .map(Vec::len)
-            .sum()
-    }
-
     /// The RAS↔job join at `min_severity`, computed on first use and
     /// shared by every later caller (the funnel's breakdown, the user
     /// correlation, and the affected-job count all read one join).
@@ -280,12 +269,8 @@ impl<'a> DatasetIndex<'a> {
 /// so merging is pure concatenation / k-way merging with no re-offsetting.
 #[derive(Debug, Clone)]
 struct PartArtifacts {
-    /// Partition day (the incremental cache key).
-    day: i64,
     /// Global job-row range this partition covers.
     jobs: Range<usize>,
-    /// Global RAS-row range this partition covers.
-    ras: Range<usize>,
     /// Exit classes of `jobs`, in row order.
     exit_classes: Vec<ExitClass>,
     /// Global job indices of this partition sorted by `(ended_at, index)`.
@@ -307,9 +292,7 @@ impl PartArtifacts {
             by_severity[rank(ds.ras[i].severity)].push(i);
         }
         PartArtifacts {
-            day: span.day,
             jobs: span.jobs.clone(),
-            ras: span.ras.clone(),
             exit_classes,
             by_end,
             by_severity,
@@ -323,6 +306,10 @@ impl PartArtifacts {
 fn merge_by_end(jobs: &[JobRecord], arts: &[PartArtifacts]) -> Vec<usize> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    // One run (`DatasetIndex::build`) is already in order.
+    if let [only] = arts {
+        return only.by_end.clone();
+    }
     let total: usize = arts.iter().map(|a| a.by_end.len()).sum();
     let mut out = Vec::with_capacity(total);
     let mut heap = BinaryHeap::with_capacity(arts.len());
@@ -340,101 +327,18 @@ fn merge_by_end(jobs: &[JobRecord], arts: &[PartArtifacts]) -> Vec<usize> {
     out
 }
 
-/// What an incremental [`IndexBuilder::build_with_stats`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BuildStats {
-    /// Partitions whose cached artifacts were reused as-is.
-    pub reused: usize,
-    /// Partitions (re)computed this call.
-    pub computed: usize,
-}
-
-/// Incremental [`DatasetIndex`] builder: caches per-day artifacts so
-/// that appending a day to the dataset re-computes only the new day
-/// instead of rescanning the history.
-///
-/// The cache key is the partition day; a cached day is reused only when
-/// its global row ranges are unchanged, which holds exactly under the
-/// snapshot store's append-only-in-time contract (new rows land on new,
-/// later days, so existing partitions keep their offsets). A day whose
-/// ranges moved — or that disappeared — is transparently recomputed or
-/// dropped, so the builder is *correct* for any input and *incremental*
-/// for appends.
-///
-/// # Examples
-///
-/// ```
-/// use bgq_core::index::IndexBuilder;
-/// use bgq_logs::snapshot::PartitionMap;
-/// use bgq_sim::{generate, SimConfig};
-///
-/// let ds = generate(&SimConfig::small(3).with_seed(9)).dataset;
-/// let parts = PartitionMap::of_dataset(&ds);
-/// let mut builder = IndexBuilder::new();
-/// let (idx, stats) = builder.build_with_stats(&ds, &parts);
-/// assert_eq!(idx.exit_classes.len(), ds.jobs.len());
-/// assert_eq!(stats.computed, parts.days.len());
-/// ```
+/// An empty placeholder. No code builds an index through it any more:
+/// it survives only as the type of `bgq_serve::Epoch::build`'s unused
+/// `builder` argument, which the benchmark harness (`perfbench/`) still
+/// passes.
 #[derive(Debug, Default)]
-pub struct IndexBuilder {
-    /// Cached per-day artifacts from the previous build, day-ascending.
-    cache: Vec<PartArtifacts>,
-}
+pub struct IndexBuilder;
 
 impl IndexBuilder {
-    /// A builder with an empty cache.
+    /// The placeholder.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the index with the default [`FilterConfig`], reusing every
-    /// cached partition whose day and row ranges match `parts`, and
-    /// reports how much work was saved.
-    ///
-    /// Records `index.partition.reused` / `index.partition.computed`
-    /// counters, so a run manifest can prove an append was incremental.
-    pub fn build_with_stats<'a>(
-        &mut self,
-        ds: &'a Dataset,
-        parts: &PartitionMap,
-    ) -> (DatasetIndex<'a>, BuildStats) {
-        let _span = bgq_obs::span!("index.build.incremental");
-        let mut cached: HashMap<i64, PartArtifacts> =
-            self.cache.drain(..).map(|a| (a.day, a)).collect();
-        let mut slots: Vec<Option<PartArtifacts>> = Vec::with_capacity(parts.days.len());
-        let mut todo: Vec<(usize, &PartitionSpan)> = Vec::new();
-        for (slot, span) in parts.days.iter().enumerate() {
-            match cached.remove(&span.day) {
-                Some(a) if a.jobs == span.jobs && a.ras == span.ras => slots.push(Some(a)),
-                _ => {
-                    slots.push(None);
-                    todo.push((slot, span));
-                }
-            }
-        }
-        let stats = BuildStats {
-            reused: parts.days.len() - todo.len(),
-            computed: todo.len(),
-        };
-        let fresh = bgq_par::par_map(&todo, |(_, span)| PartArtifacts::compute(ds, span));
-        for (&(slot, _), art) in todo.iter().zip(fresh) {
-            slots[slot] = Some(art);
-        }
-        self.cache = slots
-            .into_iter()
-            .map(|s| s.expect("every slot reused or computed"))
-            .collect();
-        bgq_obs::add("index.partition.reused", stats.reused as u64);
-        bgq_obs::add("index.partition.computed", stats.computed as u64);
-        let idx = DatasetIndex::merge(ds, &FilterConfig::default(), &self.cache);
-        (idx, stats)
-    }
-
-    /// Number of day partitions currently cached.
-    #[must_use]
-    pub fn cached_days(&self) -> usize {
-        self.cache.len()
+        IndexBuilder
     }
 }
 
@@ -462,7 +366,6 @@ mod tests {
             .map(|&s| idx.events_with_severity(s).len())
             .sum();
         assert_eq!(total, ds.ras.len());
-        assert_eq!(idx.events_at_least(Severity::Info), ds.ras.len());
         for &s in &Severity::ALL {
             for &i in idx.events_with_severity(s) {
                 assert_eq!(ds.ras[i].severity, s);
@@ -602,55 +505,5 @@ mod tests {
         );
         assert!(idx.exit_classes.is_empty());
         assert!(idx.join(Severity::Info).is_empty());
-    }
-
-    #[test]
-    fn incremental_append_matches_full_rebuild() {
-        use bgq_logs::snapshot::day_of;
-
-        let full = dataset();
-        let parts_full = PartitionMap::of_dataset(&full);
-        assert!(parts_full.days.len() > 2, "need enough days to truncate");
-        // Truncate the last day off every table: the remaining rows are a
-        // prefix of each (canonically ordered) table, so the surviving
-        // partitions keep their global row ranges — the append-only-in-time
-        // contract the builder's cache relies on.
-        let cut = parts_full.days.last().unwrap().day;
-        let mut prefix = full.clone();
-        prefix.jobs.retain(|j| day_of(j.started_at) < cut);
-        prefix.ras.retain(|r| day_of(r.event_time) < cut);
-        prefix.tasks.retain(|t| day_of(t.started_at) < cut);
-        let kept: std::collections::HashSet<_> = prefix.jobs.iter().map(|j| j.job_id).collect();
-        prefix.io.retain(|r| kept.contains(&r.job_id));
-        let parts_prefix = PartitionMap::of_dataset(&prefix);
-        assert_eq!(parts_prefix.days.len(), parts_full.days.len() - 1);
-
-        let mut builder = IndexBuilder::new();
-        // Cold build over the prefix: everything computed, nothing reused.
-        let (idx, stats) = builder.build_with_stats(&prefix, &parts_prefix);
-        assert_eq!(
-            stats,
-            BuildStats { reused: 0, computed: parts_prefix.days.len() }
-        );
-        assert_same_artifacts(&idx, &monolithic(&prefix));
-        drop(idx);
-        assert_eq!(builder.cached_days(), parts_prefix.days.len());
-
-        // Append the last day back: only that day is computed.
-        let (idx, stats) = builder.build_with_stats(&full, &parts_full);
-        assert_eq!(
-            stats,
-            BuildStats { reused: parts_prefix.days.len(), computed: 1 }
-        );
-        assert_same_artifacts(&idx, &monolithic(&full));
-        drop(idx);
-
-        // Rebuilding over the same dataset reuses everything.
-        let (idx, stats) = builder.build_with_stats(&full, &parts_full);
-        assert_eq!(
-            stats,
-            BuildStats { reused: parts_full.days.len(), computed: 0 }
-        );
-        assert_same_artifacts(&idx, &monolithic(&full));
     }
 }

@@ -2,7 +2,9 @@
 //! monotonicity of the filtering funnel under arbitrary event streams.
 
 use bgq_core::exitcode::ExitClass;
-use bgq_core::failure_rates::{by_scale, by_tasks};
+use bgq_core::failure_rates::{
+    by_consumed_core_hours, by_core_hours, by_scale, by_tasks, RateCurve,
+};
 use bgq_core::filtering::{filter_events, FilterConfig};
 use bgq_core::index::DatasetIndex;
 use bgq_core::jobstats::class_breakdown_indexed;
@@ -12,6 +14,7 @@ use bgq_model::ids::{JobId, ProjectId, RecId, UserId};
 use bgq_model::job::{Mode, Queue};
 use bgq_model::ras::{Category, Component, MsgId, Severity};
 use bgq_model::{Block, JobRecord, Location, RasRecord, Span, Timestamp};
+use bgq_stats::correlation::spearman;
 use proptest::prelude::*;
 
 fn arb_severity() -> impl Strategy<Value = Severity> {
@@ -156,17 +159,13 @@ proptest! {
     }
 
     #[test]
-    fn rate_curves_conserve_jobs_and_failures(jobs in proptest::collection::vec(arb_job(), 0..100)) {
-        for curve in [by_scale(&jobs), by_tasks(&jobs)] {
-            let total: usize = curve.buckets.iter().map(|b| b.jobs).sum();
-            let failed: usize = curve.buckets.iter().map(|b| b.failed).sum();
-            prop_assert_eq!(total, jobs.len());
-            prop_assert_eq!(failed, jobs.iter().filter(|j| j.exit_code != 0).count());
-            for b in &curve.buckets {
-                prop_assert!(b.failed <= b.jobs);
-                prop_assert!((0.0..=1.0).contains(&b.rate()));
-            }
-        }
+    fn rate_curves_conserve_jobs_and_failures(
+        mut jobs in proptest::collection::vec(arb_job(), 0..100),
+        ties in 0usize..3,
+    ) {
+        tie_attributes(&mut jobs, ties);
+        check_rate_curves(&jobs);
+        check_rate_curves(&[]);
     }
 
     #[test]
@@ -183,5 +182,110 @@ proptest! {
         }
         let total: usize = map.counts.iter().map(|&(_, c)| c).sum();
         prop_assert_eq!(total, map.total);
+    }
+}
+
+/// Collapses the curve attributes of `jobs`: `ties` 0 keeps them, 1
+/// leaves two values of each (heavy ties), 2 makes each one constant.
+fn tie_attributes(jobs: &mut [JobRecord], ties: usize) {
+    for j in jobs.iter_mut() {
+        let pick = match ties {
+            0 => return,
+            1 => u32::from(j.job_id.raw() % 2 == 0),
+            _ => 0,
+        };
+        j.nodes = 512 << pick;
+        j.num_tasks = 1 + 4 * pick;
+        j.requested_walltime_s = 1_800 << pick;
+        j.ended_at = j.started_at + Span::from_secs(3_000 << pick);
+    }
+}
+
+/// A curve's per-job attribute and bucket label, recomputed here.
+type Oracle = (fn(&JobRecord) -> f64, fn(f64) -> String);
+
+fn decade(x: f64) -> String {
+    format!("1e{}", x.log10().floor() as i32)
+}
+
+/// Checks the four rate curves over `jobs` against a per-job recount:
+/// every bucket's counts, and ρ bit for bit against
+/// [`spearman`] over the per-job `(attribute, failed)` vectors.
+fn check_rate_curves(jobs: &[JobRecord]) {
+    let curves: [(&str, RateCurve, Oracle); 4] = [
+        (
+            "scale",
+            by_scale(jobs),
+            (
+                |j| f64::from(j.nodes),
+                |x| (x as u64).max(1).next_power_of_two().to_string(),
+            ),
+        ),
+        (
+            "tasks",
+            by_tasks(jobs),
+            (
+                |j| f64::from(j.num_tasks),
+                |x| match x as u64 {
+                    0 | 1 => "1".into(),
+                    2 => "2".into(),
+                    3 => "3".into(),
+                    4..=7 => "4-7".into(),
+                    _ => "8+".into(),
+                },
+            ),
+        ),
+        (
+            "core-hours",
+            by_core_hours(jobs),
+            (
+                |j| {
+                    (f64::from(j.nodes) * 16.0 * f64::from(j.requested_walltime_s) / 3_600.0)
+                        .max(1.0)
+                },
+                decade,
+            ),
+        ),
+        (
+            "consumed",
+            by_consumed_core_hours(jobs),
+            (|j| j.core_hours().max(1.0), decade),
+        ),
+    ];
+    for (name, curve, (attribute, label)) in curves {
+        let xs: Vec<f64> = jobs.iter().map(attribute).collect();
+        let ys: Vec<f64> = jobs
+            .iter()
+            .map(|j| f64::from(u8::from(j.exit_code != 0)))
+            .collect();
+        prop_assert_eq!(
+            curve.spearman_rho.map(f64::to_bits),
+            spearman(&xs, &ys).map(f64::to_bits),
+            "{} rho {:?}",
+            name,
+            curve.spearman_rho
+        );
+        let mut recount: std::collections::BTreeMap<String, (usize, usize)> = Default::default();
+        for (x, j) in xs.iter().zip(jobs) {
+            let e = recount.entry(label(*x)).or_default();
+            e.0 += 1;
+            e.1 += usize::from(j.exit_code != 0);
+        }
+        prop_assert_eq!(curve.buckets.len(), recount.len(), "{} buckets", name);
+        for b in &curve.buckets {
+            prop_assert_eq!(
+                Some(&(b.jobs, b.failed)),
+                recount.get(&b.label),
+                "{} {}",
+                name,
+                &b.label
+            );
+            prop_assert!((0.0..=1.0).contains(&b.rate()));
+        }
+        prop_assert!(
+            curve.buckets.windows(2).all(|w| w[0].lo < w[1].lo),
+            "{} order",
+            name
+        );
     }
 }

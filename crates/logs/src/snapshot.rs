@@ -264,6 +264,12 @@ pub fn day_of(ts: Timestamp) -> i64 {
     ts.as_secs().div_euclid(SECS_PER_DAY)
 }
 
+/// The first second of partition day `day` (the inverse of [`day_of`]).
+#[must_use]
+pub fn day_start(day: i64) -> Timestamp {
+    Timestamp::from_secs(day * SECS_PER_DAY)
+}
+
 /// Splits `0..len` into day runs by the (sorted, per-row) day key.
 fn day_runs(len: usize, day_at: impl Fn(usize) -> i64) -> Vec<(i64, Range<usize>)> {
     let mut runs = Vec::new();

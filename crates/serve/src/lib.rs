@@ -8,19 +8,23 @@
 //!
 //! * [`ingest`] tails a live snapshot directory through
 //!   [`bgq_logs::snapshot::ManifestTail`], loading only newly committed
-//!   day segments and reusing the cached per-day index artifacts; the
-//!   index merge and the served stages still run over the whole history.
-//! * [`epoch`] holds the epoch-swap machinery: each consistent view is
-//!   an immutable [`epoch::Epoch`] of the served values, published behind
-//!   an `RwLock<Arc<Epoch>>`. Queries clone the `Arc` under a momentary
-//!   read lock and then answer entirely off-lock, so ingestion never
-//!   blocks queries and queries never block ingestion; dropping the
-//!   last reader of a superseded epoch frees it.
+//!   day segments and folding only their rows into per-day partials of
+//!   the served fields, so a tick costs O(new day) plus one pass over a
+//!   compact per-job column, and the daemon keeps no row history: a
+//!   traced tick (`ingest.poll_ms.p50`) took 2.0–2.1 ms
+//!   over ~465 days of history and 6.3–9.0 ms over ~2000 days on
+//!   two cores (`live_tail` and `archive` traces).
+//! * [`epoch`] holds the partials and the epoch-swap machinery: each
+//!   consistent view is an immutable [`epoch::Epoch`] of the served
+//!   values, published behind an `RwLock<Arc<Epoch>>`. Queries clone
+//!   the `Arc` under a momentary read lock and then answer entirely
+//!   off-lock, so ingestion never blocks queries and queries never block
+//!   ingestion; dropping the last reader of a superseded epoch frees it.
 //! * [`protocol`] is the zero-dependency line protocol: one query per
 //!   line, `OK <epoch> <n>` + `n` payload lines or `ERR <reason>` back.
-//! * [`server`] is the TCP front end: one acceptor plus a worker-thread
-//!   pool, bounded per-connection buffers, and malformed input answered
-//!   with `ERR` while the connection survives.
+//! * [`server`] is the TCP front end: one acceptor blocked in `accept`
+//!   plus a worker-thread pool, bounded per-connection buffers, and
+//!   malformed input answered with `ERR` while the connection survives.
 //! * [`client`] is the small blocking client the CLI `query` subcommand
 //!   and the test harness share.
 //!

@@ -1,8 +1,11 @@
 //! Zero-dependency line-protocol TCP server.
 //!
-//! One acceptor thread hands connections to a fixed worker pool over an
-//! in-process channel (the bgq-par fixed-pool pattern, applied to
-//! sockets). Each worker owns one connection at a time and runs a
+//! One acceptor thread, blocked in `accept`, hands connections to a
+//! fixed worker pool over an in-process channel (the bgq-par fixed-pool
+//! pattern, applied to sockets); shutdown wakes it with a loopback
+//! connect, so a new connection is handed over at once and an idle
+//! server stops without a polling delay. Each worker owns one
+//! connection at a time and runs a
 //! read-loop with a bounded buffer: complete lines are answered from
 //! the *current* epoch ([`EpochStore::current`] — an `Arc` clone under
 //! a momentary read lock), malformed lines get `ERR` and the connection
@@ -11,7 +14,7 @@
 //! [`MAX_LINE`] + one read chunk.
 
 use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -59,7 +62,7 @@ impl ServerHandle {
     /// Signals shutdown and joins the acceptor and every worker.
     /// Established connections are closed at their next read timeout.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop_accepting();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -67,17 +70,38 @@ impl ServerHandle {
             let _ = h.join();
         }
     }
+
+    /// Sets the stop flag and wakes the acceptor out of `accept` with a
+    /// connect of its own, which it drops unserved.
+    fn stop_accepting(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
+    }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // After `shutdown` the acceptor is joined and there is nothing
+        // left to wake.
+        if self.acceptor.is_some() {
+            self.stop_accepting();
+        }
     }
 }
 
-/// Poll interval for shutdown checks in the acceptor and in blocked
-/// connection reads.
+/// Poll interval for shutdown checks in blocked connection reads and
+/// idle workers, and the acceptor's back-off after a failed `accept`.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Bound on the shutdown wake-up connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Starts the acceptor and worker pool; returns immediately.
 ///
@@ -87,7 +111,6 @@ const POLL: Duration = Duration::from_millis(50);
 pub fn start(store: Arc<EpochStore>, opts: &ServerOptions) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = channel::<TcpStream>();
     let rx = Arc::new(Mutex::new(rx));
@@ -107,17 +130,20 @@ pub fn start(store: Arc<EpochStore>, opts: &ServerOptions) -> io::Result<ServerH
         std::thread::Builder::new()
             .name("serve-acceptor".to_owned())
             .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
+                loop {
+                    let accepted = listener.accept();
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             bgq_obs::add("serve.connections", 1);
                             if tx.send(stream).is_err() {
                                 break;
                             }
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
+                        // Out of descriptors and the like: back off
+                        // instead of spinning.
                         Err(_) => std::thread::sleep(POLL),
                     }
                 }
@@ -286,6 +312,26 @@ mod tests {
         assert!(line.starts_with("interrupted-jobs "), "{line}");
 
         handle.shutdown();
+    }
+
+    #[test]
+    fn idle_shutdown_returns_and_frees_the_address() {
+        let (handle, _store) = test_server();
+        let addr = handle.addr();
+        let started = Instant::now();
+        handle.shutdown();
+        assert!(
+            started.elapsed() < WAKE_TIMEOUT,
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        let opts = ServerOptions {
+            addr: addr.to_string(),
+            ..ServerOptions::default()
+        };
+        let again = start(Arc::new(EpochStore::new()), &opts).expect("rebind the address");
+        assert_eq!(again.addr(), addr);
+        again.shutdown();
     }
 
     #[test]

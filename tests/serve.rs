@@ -262,7 +262,15 @@ fn soak_concurrent_queries_during_live_appends() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).expect("soak connect");
                 let mut last_epoch = 0u64;
-                for i in 0..250usize {
+                // At least 250 queries, and on until the first epoch is
+                // published (or a deadline passes): with connections
+                // accepted at once, 250 queries can finish before the
+                // poller publishes anything.
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                for i in 0usize.. {
+                    if i >= 250 && (last_epoch > 0 || std::time::Instant::now() > deadline) {
+                        break;
+                    }
                     let q = QUERIES[(i + c) % QUERIES.len()];
                     let reply = client.query(q).expect("soak query");
                     assert!(
