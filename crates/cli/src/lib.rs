@@ -11,7 +11,7 @@ use bgq_core::filtering::FilterConfig;
 use bgq_core::index::DatasetIndex;
 use bgq_core::report::{group_thousands, percent, Align, Table};
 use bgq_core::takeaways::takeaways;
-use bgq_logs::snapshot::{self, PartitionMap};
+use bgq_logs::snapshot;
 use bgq_logs::store::{Dataset, LoadOptions, SourceAvailability};
 use bgq_model::{Severity, Span};
 use bgq_obs::manifest::RunManifest;
@@ -514,9 +514,7 @@ fn cmd_gen_live(
 /// `serve DIR`: the always-on analysis daemon. Never returns (runs
 /// until the process is killed).
 fn cmd_serve(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let dir: PathBuf = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
+    let dir: PathBuf = positional(args, &["--port", "--workers", "--poll-ms"])
         .ok_or_else(|| CliError::Usage("serve requires a snapshot DIR".into()))?
         .into();
     let port: u16 = parse_num(args, "--port")?.unwrap_or(7411);
@@ -596,7 +594,7 @@ fn cmd_import(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
         (Some(s), Some(d), None) => (PathBuf::from(s), PathBuf::from(d)),
         _ => return Err(CliError::Usage("import requires SRC and DEST directories".into())),
     };
-    let (ds, avail, _) = load_dataset(&src, opts)?;
+    let (ds, avail) = load_dataset(&src, opts)?;
     let stats = snapshot::write_dir(&ds, &dest, &avail)?;
     let mut out = degraded_banner(&avail);
     out.push_str(&format!(
@@ -623,9 +621,9 @@ fn positional<'a>(args: &'a [String], value_flags: &[&str]) -> Option<&'a String
     None
 }
 
-/// What `load_dataset` hands every command: the dataset, what survived
-/// loading, and the day-partition map the index build runs over.
-type LoadedDataset = (Dataset, SourceAvailability, PartitionMap);
+/// What `load_dataset` hands every command: the dataset and what
+/// survived loading.
+type LoadedDataset = (Dataset, SourceAvailability);
 
 fn load(args: &[String], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
     let dir = positional(args, &["--gap-mins", "--window-hours", "--window-days"])
@@ -643,9 +641,8 @@ fn load(args: &[String], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
 ///
 /// A directory holding a snapshot MANIFEST is loaded through the
 /// columnar snapshot path (same strict/lenient/degraded semantics, with
-/// the reject ceiling enforced per segment), which hands back its
-/// partition map; anything else goes through the CSV store, and the map
-/// is computed from the loaded rows.
+/// the reject ceiling enforced per segment); anything else goes through
+/// the CSV store.
 fn load_dataset(dir: &Path, opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
     let load_opts = LoadOptions {
         max_reject_ratio: opts.max_reject_ratio.unwrap_or(0.0),
@@ -654,27 +651,21 @@ fn load_dataset(dir: &Path, opts: &GlobalOpts) -> Result<LoadedDataset, CliError
     };
     if snapshot::is_snapshot_dir(dir) {
         let (ds, report) = snapshot::read_dir_with(dir, &load_opts)?;
-        return Ok((ds, report.load.availability(), report.partitions));
+        return Ok((ds, report.load.availability()));
     }
-    let (ds, avail) = if opts.degraded || opts.max_reject_ratio.is_some() {
+    if opts.degraded || opts.max_reject_ratio.is_some() {
         let (ds, report) = Dataset::load_dir_with(dir, &load_opts)?;
-        (ds, report.availability())
+        Ok((ds, report.availability()))
     } else {
-        (Dataset::load_dir(dir)?, SourceAvailability::ALL)
-    };
-    let parts = PartitionMap::of_dataset(&ds);
-    Ok((ds, avail, parts))
+        Ok((Dataset::load_dir(dir)?, SourceAvailability::ALL))
+    }
 }
 
-/// The one analysis path: the day-partitioned index build, every stage,
-/// and the load-time quarantine markers. Returns the index too, for
-/// callers that query it further.
-fn run_analysis<'a>(
-    ds: &'a Dataset,
-    avail: &SourceAvailability,
-    parts: &PartitionMap,
-) -> (DatasetIndex<'a>, Analysis) {
-    let idx = DatasetIndex::build_partitioned(ds, parts, &FilterConfig::default());
+/// The one analysis path: the index build, every stage, and the
+/// load-time quarantine markers. Returns the index too, for callers that
+/// query it further.
+fn run_analysis<'a>(ds: &'a Dataset, avail: &SourceAvailability) -> (DatasetIndex<'a>, Analysis) {
+    let idx = DatasetIndex::build(ds);
     let analysis = Analysis::run_indexed(&idx).mark_degraded(avail);
     (idx, analysis)
 }
@@ -693,8 +684,8 @@ fn degraded_banner(avail: &SourceAvailability) -> String {
 }
 
 fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail, parts) = load(args, opts)?;
-    let (_, a) = run_analysis(&ds, &avail, &parts);
+    let (ds, avail) = load(args, opts)?;
+    let (_, a) = run_analysis(&ds, &avail);
     let mut out = String::new();
     if !a.degraded.is_empty() {
         out.push_str(&format!(
@@ -794,8 +785,8 @@ fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 }
 
 fn cmd_report(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail, parts) = load(args, opts)?;
-    let (_, a) = run_analysis(&ds, &avail, &parts);
+    let (ds, avail) = load(args, opts)?;
+    let (_, a) = run_analysis(&ds, &avail);
     let mut out = degraded_banner(&avail);
     out.push_str("The 22 takeaways, re-derived from this trace:\n\n");
     for t in takeaways(&a) {
@@ -805,7 +796,7 @@ fn cmd_report(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 }
 
 fn cmd_filter(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail, _) = load(args, opts)?;
+    let (ds, avail) = load(args, opts)?;
     let mut config = FilterConfig::default();
     if let Some(gap) = parse_num::<i64>(args, "--gap-mins")? {
         config.temporal_gap = Span::from_mins(gap);
@@ -844,7 +835,7 @@ fn cmd_filter(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 }
 
 fn cmd_lifetime(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail, _) = load(args, opts)?;
+    let (ds, avail) = load(args, opts)?;
     let window: u32 = parse_num(args, "--window-days")?.unwrap_or(90);
     if window == 0 {
         return Err(CliError::Usage("--window-days must be positive".into()));
@@ -881,7 +872,7 @@ fn cmd_lifetime(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> 
 fn cmd_predict(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     use bgq_core::filtering::{filter_events, FilterConfig};
     use bgq_core::prediction::{predict_and_evaluate, PredictorConfig};
-    let (ds, avail, _) = load(args, opts)?;
+    let (ds, avail) = load(args, opts)?;
     let incidents = filter_events(&ds.ras, &FilterConfig::default()).incidents;
     let report = predict_and_evaluate(&ds.ras, &incidents, &PredictorConfig::default());
     let mut table = Table::new(
@@ -928,7 +919,7 @@ fn cmd_users(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     }
     let dir = positional(args, &["--top", "--epsilon"])
         .ok_or_else(|| CliError::Usage("users requires a dataset directory".into()))?;
-    let (ds, avail, _) = load_dataset(Path::new(dir), opts)?;
+    let (ds, avail) = load_dataset(Path::new(dir), opts)?;
     let _span = bgq_obs::span!("cli.users");
 
     let rows = bgq_obs::time("cli.users.columnar", || {
@@ -1089,22 +1080,21 @@ fn cmd_profile(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     let dir = positional(args, &["--days", "--seed", "--baseline"]);
 
     let before = bgq_obs::snapshot();
-    let ((ds, avail, parts), source) = match dir {
+    let ((ds, avail), source) = match dir {
         Some(d) => (load_dataset(Path::new(d), opts)?, d.clone()),
-        None => {
-            let ds = generate(&SimConfig::small(days).with_seed(seed)).dataset;
-            let parts = PartitionMap::of_dataset(&ds);
+        None => (
             (
-                (ds, SourceAvailability::ALL, parts),
-                format!("simulated ({days} days, seed {seed})"),
-            )
-        }
+                generate(&SimConfig::small(days).with_seed(seed)).dataset,
+                SourceAvailability::ALL,
+            ),
+            format!("simulated ({days} days, seed {seed})"),
+        ),
     };
     let fingerprint = dataset_fingerprint(&ds);
     bgq_obs::gauge_set("dataset.fingerprint", fingerprint);
     bgq_obs::gauge_set("run.threads", bgq_par::max_workers() as u64);
 
-    let (idx, analysis) = run_analysis(&ds, &avail, &parts);
+    let (idx, analysis) = run_analysis(&ds, &avail);
     // Memo probe: run_indexed already built the Warn join for the
     // user-correlation stage; this second consumer must hit the memo,
     // which shows up as `index.join.memo_hit{warn}` in the manifest.

@@ -10,10 +10,9 @@
 //! so [`Analysis::run`] stages — which run concurrently on `bgq-par`'s
 //! scoped threads — all read the same memoized state.
 //!
-//! There is one build: per-day artifacts merged into the full index.
-//! [`DatasetIndex::build_partitioned`] computes every day of a
-//! [`PartitionMap`], and [`DatasetIndex::build`] treats the whole
-//! dataset as one partition.
+//! There is one build: [`DatasetIndex::build`] computes every eager
+//! artifact in one pass over the rows, with the jobs half and the RAS
+//! half running concurrently under `bgq_par::join`.
 //!
 //! Everything here is deterministic: eager artifacts are built with
 //! order-preserving combinators, and the lazily memoized joins are pure
@@ -22,12 +21,11 @@
 //!
 //! [`Analysis::run`]: crate::analysis::Analysis::run
 
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use bgq_logs::interval::IntervalIndex;
-use bgq_logs::join::{attribute_events_with, job_span_index_partitioned, JoinResult};
-use bgq_logs::snapshot::{PartitionMap, PartitionSpan};
+use bgq_logs::join::{attribute_events_with, job_span_index, JoinResult};
+use bgq_logs::snapshot::PartitionMap;
 use bgq_logs::store::Dataset;
 use bgq_model::ras::Severity;
 use bgq_model::{IoRecord, JobRecord, RasRecord, Timestamp};
@@ -57,7 +55,7 @@ fn severity_label(severity: Severity) -> &'static str {
 ///
 /// Cheap artifacts (exit classes, severity partition, job-span interval
 /// index, the filtering funnel, time orderings) are built eagerly by
-/// [`DatasetIndex::build_partitioned`]; the RAS↔job join is memoized per
+/// [`DatasetIndex::build`]; the RAS↔job join is memoized per
 /// severity on first use, because most pipelines only ever join at one
 /// or two severities.
 ///
@@ -97,81 +95,50 @@ pub struct DatasetIndex<'a> {
 }
 
 impl<'a> DatasetIndex<'a> {
-    /// Builds the index with the default [`FilterConfig`], treating the
-    /// whole dataset as one partition.
+    /// Builds the index with the default [`FilterConfig`].
     ///
-    /// Unlike [`PartitionMap::of_dataset`], one span over every row needs
-    /// no canonical order: jobs may come in any order, and RAS records
-    /// only need to be sorted by time (the funnel's precondition).
+    /// Jobs may come in any order; RAS records need only be sorted by
+    /// time (the funnel's precondition).
     #[must_use]
     pub fn build(ds: &'a Dataset) -> Self {
-        let all = PartitionSpan {
-            day: 0,
-            jobs: 0..ds.jobs.len(),
-            ras: 0..ds.ras.len(),
-            tasks: 0..ds.tasks.len(),
-        };
-        let parts = PartitionMap { days: vec![all] };
-        Self::build_partitioned(ds, &parts, &FilterConfig::default())
+        Self::one_pass(ds, &FilterConfig::default())
     }
 
-    /// Builds the index one day-partition at a time and merges.
-    ///
-    /// Per-partition artifacts (exit classes, end ordering, severity
-    /// views) are computed concurrently across partitions; the merge
-    /// concatenates day-grouped artifacts, k-way merges the end
-    /// ordering, and builds the span index with globally sized buckets,
-    /// so the result does not depend on how the rows were partitioned.
-    /// The filtering funnel is always computed globally, because
-    /// temporal clusters span partition boundaries.
-    ///
-    /// `parts` must cover `ds` contiguously (see
-    /// [`PartitionMap::of_dataset`]).
+    /// [`DatasetIndex::build`] with an explicit funnel config. `_parts`
+    /// is unused: the build makes one pass over every row whatever the
+    /// day partitioning.
     #[must_use]
-    pub fn build_partitioned(ds: &'a Dataset, parts: &PartitionMap, config: &FilterConfig) -> Self {
-        let _span = bgq_obs::span!("index.build");
-        let arts = bgq_par::par_map(&parts.days, |span| PartArtifacts::compute(ds, span));
-        Self::merge(ds, config, &arts)
+    pub fn build_partitioned(
+        ds: &'a Dataset,
+        _parts: &PartitionMap,
+        config: &FilterConfig,
+    ) -> Self {
+        Self::one_pass(ds, config)
     }
 
-    /// Assembles a full index from per-partition artifacts covering the
-    /// dataset in day order.
-    fn merge(ds: &'a Dataset, config: &FilterConfig, arts: &[PartArtifacts]) -> Self {
+    /// The one build: the jobs half (exit classes, end ordering, job-span
+    /// index) and the RAS half (severity views, funnel) run concurrently.
+    fn one_pass(ds: &'a Dataset, config: &FilterConfig) -> Self {
+        let _span = bgq_obs::span!("index.build");
         let (jobs, ras) = (ds.jobs.as_slice(), ds.ras.as_slice());
-        #[cfg(debug_assertions)]
-        {
-            let mut j = 0;
-            for a in arts {
-                assert_eq!(a.jobs.start, j, "job runs must be contiguous");
-                j = a.jobs.end;
-            }
-            assert_eq!(j, jobs.len(), "job runs must cover the job log");
-            let r: usize = arts.iter().flat_map(|a| &a.by_severity).map(Vec::len).sum();
-            assert_eq!(r, ras.len(), "ras runs must cover the RAS log");
-        }
         let ((exit_classes, jobs_by_end, job_spans), (filter, by_severity)) = bgq_par::join(
             || {
-                bgq_obs::time("index.merge.jobs", || {
-                    let mut classes = Vec::with_capacity(jobs.len());
-                    for a in arts {
-                        classes.extend_from_slice(&a.exit_classes);
-                    }
-                    let runs: Vec<Range<usize>> = arts.iter().map(|a| a.jobs.clone()).collect();
-                    (classes, merge_by_end(jobs, arts), job_span_index_partitioned(jobs, &runs))
-                })
+                let classes = jobs
+                    .iter()
+                    .map(|j| ExitClass::from_exit_code(j.exit_code))
+                    .collect();
+                // The index breaks ties, so the keys are unique and an
+                // unstable sort is exact.
+                let mut by_end: Vec<usize> = (0..jobs.len()).collect();
+                by_end.sort_unstable_by_key(|&i| (jobs[i].ended_at, i));
+                (classes, by_end, job_span_index(jobs))
             },
             || {
-                bgq_obs::time("index.merge.ras", || {
-                    // Clusters cross midnight, so the funnel is global.
-                    let filter = filter_events(ras, config);
-                    let mut views: [Vec<usize>; 3] = Default::default();
-                    for a in arts {
-                        for (view, part) in views.iter_mut().zip(&a.by_severity) {
-                            view.extend_from_slice(part);
-                        }
-                    }
-                    (filter, views)
-                })
+                let mut views: [Vec<usize>; 3] = Default::default();
+                for (i, r) in ras.iter().enumerate() {
+                    views[rank(r.severity)].push(i);
+                }
+                (filter_events(ras, config), views)
             },
         );
         DatasetIndex {
@@ -265,68 +232,6 @@ impl<'a> DatasetIndex<'a> {
     }
 }
 
-/// Eager index artifacts of one day partition, in **global** row indices
-/// so merging is pure concatenation / k-way merging with no re-offsetting.
-#[derive(Debug, Clone)]
-struct PartArtifacts {
-    /// Global job-row range this partition covers.
-    jobs: Range<usize>,
-    /// Exit classes of `jobs`, in row order.
-    exit_classes: Vec<ExitClass>,
-    /// Global job indices of this partition sorted by `(ended_at, index)`.
-    by_end: Vec<usize>,
-    /// Global RAS indices partitioned by exact severity, time-sorted.
-    by_severity: [Vec<usize>; 3],
-}
-
-impl PartArtifacts {
-    fn compute(ds: &Dataset, span: &PartitionSpan) -> PartArtifacts {
-        let exit_classes = ds.jobs[span.jobs.clone()]
-            .iter()
-            .map(|j| ExitClass::from_exit_code(j.exit_code))
-            .collect();
-        let mut by_end: Vec<usize> = span.jobs.clone().collect();
-        by_end.sort_by_key(|&i| (ds.jobs[i].ended_at, i));
-        let mut by_severity: [Vec<usize>; 3] = Default::default();
-        for i in span.ras.clone() {
-            by_severity[rank(ds.ras[i].severity)].push(i);
-        }
-        PartArtifacts {
-            jobs: span.jobs.clone(),
-            exit_classes,
-            by_end,
-            by_severity,
-        }
-    }
-}
-
-/// Deterministic k-way merge of the per-partition end orderings by
-/// `(ended_at, index)`. The keys are unique (the index breaks ties), so
-/// the output is exactly the monolithic `sort_by_key` over all jobs.
-fn merge_by_end(jobs: &[JobRecord], arts: &[PartArtifacts]) -> Vec<usize> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    // One run (`DatasetIndex::build`) is already in order.
-    if let [only] = arts {
-        return only.by_end.clone();
-    }
-    let total: usize = arts.iter().map(|a| a.by_end.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut heap = BinaryHeap::with_capacity(arts.len());
-    for (run, a) in arts.iter().enumerate() {
-        if let Some(&i) = a.by_end.first() {
-            heap.push(Reverse((jobs[i].ended_at, i, run, 0usize)));
-        }
-    }
-    while let Some(Reverse((_, i, run, pos))) = heap.pop() {
-        out.push(i);
-        if let Some(&j) = arts[run].by_end.get(pos + 1) {
-            heap.push(Reverse((jobs[j].ended_at, j, run, pos + 1)));
-        }
-    }
-    out
-}
-
 /// An empty placeholder. No code builds an index through it any more:
 /// it survives only as the type of `bgq_serve::Epoch::build`'s unused
 /// `builder` argument, which the benchmark harness (`perfbench/`) still
@@ -345,45 +250,63 @@ impl IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgq_logs::join::{attribute_events, job_span_index};
+    use bgq_logs::join::attribute_events;
     use bgq_sim::{generate, SimConfig};
 
     fn dataset() -> Dataset {
         generate(&SimConfig::small(20).with_seed(11)).dataset
     }
 
-    #[test]
-    fn eager_artifacts_match_direct_computation() {
-        let ds = dataset();
-        let idx = DatasetIndex::build(&ds);
+    /// Every eager artifact of `DatasetIndex::build(ds)` and its join at
+    /// every severity equal a direct computation over the rows.
+    fn assert_matches_direct(ds: &Dataset) {
+        let idx = DatasetIndex::build(ds);
         assert_eq!(idx.exit_classes.len(), ds.jobs.len());
         for (i, j) in ds.jobs.iter().enumerate() {
             assert_eq!(idx.exit_class(i), ExitClass::from_exit_code(j.exit_code));
         }
-        // Severity partition covers the RAS log exactly once.
-        let total: usize = Severity::ALL
-            .iter()
-            .map(|&s| idx.events_with_severity(s).len())
-            .sum();
-        assert_eq!(total, ds.ras.len());
+        // Each severity view holds exactly that severity's records, in
+        // row order.
         for &s in &Severity::ALL {
-            for &i in idx.events_with_severity(s) {
-                assert_eq!(ds.ras[i].severity, s);
-            }
+            let want: Vec<usize> = (0..ds.ras.len())
+                .filter(|&i| ds.ras[i].severity == s)
+                .collect();
+            assert_eq!(idx.events_with_severity(s), want, "{s:?} view");
         }
-        // End ordering is sorted and a permutation.
-        assert!(idx
-            .jobs_by_end
-            .windows(2)
-            .all(|w| ds.jobs[w[0]].ended_at <= ds.jobs[w[1]].ended_at));
+        // End ordering is strictly increasing in (ended_at, index) and a
+        // permutation, so it is exactly the sort by that key.
+        let key = |i: usize| (ds.jobs[i].ended_at, i);
+        assert!(idx.jobs_by_end.windows(2).all(|w| key(w[0]) < key(w[1])));
         let mut perm = idx.jobs_by_end.clone();
         perm.sort_unstable();
         assert_eq!(perm, (0..ds.jobs.len()).collect::<Vec<_>>());
-        // The funnel matches a direct run.
-        assert_eq!(
-            idx.filter,
-            filter_events(&ds.ras, &FilterConfig::default())
-        );
+        assert_eq!(idx.job_spans, job_span_index(&ds.jobs));
+        assert_eq!(idx.filter, filter_events(&ds.ras, &FilterConfig::default()));
+        for &s in &Severity::ALL {
+            let direct = attribute_events(&ds.jobs, &ds.ras, s);
+            assert_eq!(idx.join(s).pairs, direct.pairs, "{s:?} join");
+        }
+    }
+
+    #[test]
+    fn eager_artifacts_match_direct_computation() {
+        let ds = dataset();
+        assert_matches_direct(&ds);
+
+        // Rows out of canonical order: jobs in any order, and RAS records
+        // that share a timestamp in any order (the funnel needs the RAS
+        // log time-sorted).
+        let mut shuffled = ds.clone();
+        shuffled.jobs.reverse();
+        let same_time = |a: &RasRecord, b: &RasRecord| a.event_time == b.event_time;
+        for tie in shuffled.ras.chunk_by_mut(same_time) {
+            tie.reverse();
+        }
+        assert!(!shuffled.jobs.is_sorted_by_key(|j| (j.started_at, j.job_id)));
+        assert!(!shuffled.ras.is_sorted_by_key(|r| (r.event_time, r.rec_id)));
+        assert_matches_direct(&shuffled);
+
+        assert_matches_direct(&Dataset::new());
     }
 
     #[test]
@@ -426,84 +349,5 @@ mod tests {
         assert!(idx.exit_classes.is_empty());
         assert!(idx.join(Severity::Info).is_empty());
         assert_eq!(idx.effective_incident_count(), 0);
-    }
-
-    /// The reference the partitioned and incremental builds are checked
-    /// against: every eager artifact computed in one pass over the whole
-    /// dataset, with no partitioning and no merge.
-    fn monolithic(ds: &Dataset) -> DatasetIndex<'_> {
-        let (jobs, ras) = (ds.jobs.as_slice(), ds.ras.as_slice());
-        let mut jobs_by_end: Vec<usize> = (0..jobs.len()).collect();
-        jobs_by_end.sort_by_key(|&i| (jobs[i].ended_at, i));
-        let mut by_severity: [Vec<usize>; 3] = Default::default();
-        for (i, r) in ras.iter().enumerate() {
-            by_severity[rank(r.severity)].push(i);
-        }
-        let exit_classes = jobs.iter().map(|j| ExitClass::from_exit_code(j.exit_code));
-        DatasetIndex {
-            jobs,
-            ras,
-            io: &ds.io,
-            exit_classes: exit_classes.collect(),
-            jobs_by_end,
-            job_spans: job_span_index(jobs),
-            filter: filter_events(ras, &FilterConfig::default()),
-            by_severity,
-            joins: Default::default(),
-        }
-    }
-
-    /// Every eager artifact of `got` equals `want`'s, bit for bit.
-    fn assert_same_artifacts(got: &DatasetIndex<'_>, want: &DatasetIndex<'_>) {
-        assert_eq!(got.exit_classes, want.exit_classes);
-        assert_eq!(got.jobs_by_end, want.jobs_by_end);
-        assert_eq!(got.job_spans, want.job_spans);
-        assert_eq!(got.filter, want.filter);
-        for &s in &Severity::ALL {
-            assert_eq!(got.events_with_severity(s), want.events_with_severity(s));
-        }
-    }
-
-    /// [`assert_same_artifacts`] plus the memoized join at every severity.
-    fn assert_same_index(got: &DatasetIndex<'_>, want: &DatasetIndex<'_>) {
-        assert_same_artifacts(got, want);
-        for &s in &Severity::ALL {
-            assert_eq!(got.join(s).pairs, want.join(s).pairs, "{s:?} join");
-        }
-    }
-
-    #[test]
-    fn partitioned_build_matches_monolithic() {
-        let ds = dataset();
-        let parts = PartitionMap::of_dataset(&ds);
-        assert!(parts.days.len() > 1, "need several partitions to merge");
-        let mono = monolithic(&ds);
-        let part = DatasetIndex::build_partitioned(&ds, &parts, &FilterConfig::default());
-        assert_same_index(&part, &mono);
-        assert_same_index(&DatasetIndex::build(&ds), &mono);
-
-        // `build` takes rows out of canonical order, which
-        // `PartitionMap::of_dataset` would reject: jobs in any order, and
-        // RAS records that share a timestamp in any order (the funnel
-        // needs the RAS log time-sorted).
-        let mut shuffled = ds.clone();
-        shuffled.jobs.reverse();
-        let same_time = |a: &RasRecord, b: &RasRecord| a.event_time == b.event_time;
-        for tie in shuffled.ras.chunk_by_mut(same_time) {
-            tie.reverse();
-        }
-        assert!(!shuffled.jobs.is_sorted_by_key(|j| (j.started_at, j.job_id)));
-        assert!(!shuffled.ras.is_sorted_by_key(|r| (r.event_time, r.rec_id)));
-        assert_same_index(&DatasetIndex::build(&shuffled), &monolithic(&shuffled));
-
-        // Degenerate case: the empty dataset has zero partitions.
-        let empty = Dataset::new();
-        let idx = DatasetIndex::build_partitioned(
-            &empty,
-            &PartitionMap::of_dataset(&empty),
-            &FilterConfig::default(),
-        );
-        assert!(idx.exit_classes.is_empty());
-        assert!(idx.join(Severity::Info).is_empty());
     }
 }

@@ -7,8 +7,6 @@
 //! a stabbing query proportional to the number of concurrently-running
 //! intervals.
 
-use std::ops::Range;
-
 use bgq_model::{Span, Timestamp};
 
 /// Static index over `[start, end)` time intervals.
@@ -59,81 +57,22 @@ impl IntervalIndex {
             "too many intervals for u32 ids"
         );
         let width = bucket_width.as_secs();
-        let (origin, n_buckets) = geometry(&intervals, width);
+        // Degenerate and inverted intervals are kept but never registered,
+        // so the geometry spans the valid (`end > start`) ones only.
+        let valid = || intervals.iter().filter(|(s, e)| e > s);
+        let origin = valid().map(|(s, _)| s.as_secs()).min().unwrap_or(0);
+        let max_end = valid().map(|(_, e)| e.as_secs()).max().unwrap_or(origin);
+        let n_buckets = ((max_end - origin) / width + 1).max(1) as usize;
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_buckets];
         for (i, (s, e)) in intervals.iter().enumerate() {
-            if let Some((first, last)) = bucket_span(*s, *e, origin, width, n_buckets) {
-                for bucket in buckets.iter_mut().take(last + 1).skip(first) {
-                    bucket.push(i as u32);
-                }
+            if e <= s {
+                continue;
             }
-        }
-        IntervalIndex {
-            intervals,
-            buckets,
-            origin,
-            width,
-        }
-    }
-
-    /// Builds the index from contiguous runs of intervals, computing the
-    /// per-run bucket registrations concurrently and merging them in run
-    /// order.
-    ///
-    /// The bucket geometry (origin, bucket count) is computed **globally**
-    /// over all intervals, and runs partition the interval list in
-    /// ascending index order, so the result is **bit-identical** to
-    /// [`build`] over the same input — callers partitioning a dataset by
-    /// day (see `bgq_logs::snapshot::PartitionMap`) get the exact same
-    /// index, just built a partition at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`build`]; additionally,
-    /// `runs` must cover `0..intervals.len()` contiguously in order
-    /// (checked with `debug_assert`).
-    ///
-    /// [`build`]: IntervalIndex::build
-    #[must_use]
-    pub fn build_partitioned(
-        intervals: impl IntoIterator<Item = (Timestamp, Timestamp)>,
-        runs: &[Range<usize>],
-        bucket_width: Span,
-    ) -> Self {
-        let intervals: Vec<(Timestamp, Timestamp)> = intervals.into_iter().collect();
-        assert!(bucket_width.as_secs() > 0, "bucket width must be positive");
-        assert!(
-            intervals.len() <= u32::MAX as usize,
-            "too many intervals for u32 ids"
-        );
-        debug_assert!(
-            runs.iter()
-                .try_fold(0usize, |at, r| (r.start == at).then_some(r.end))
-                == Some(intervals.len()),
-            "runs must cover 0..len contiguously in order"
-        );
-        let width = bucket_width.as_secs();
-        let (origin, n_buckets) = geometry(&intervals, width);
-        // Each run's registrations are (bucket, id) pairs with ids
-        // ascending; replaying the runs in order therefore fills each
-        // bucket in ascending id order, exactly as the monolithic loop
-        // does.
-        let parts: Vec<Vec<(usize, u32)>> = bgq_par::par_map(runs, |run| {
-            let mut regs = Vec::new();
-            for i in run.clone() {
-                let (s, e) = intervals[i];
-                if let Some((first, last)) = bucket_span(s, e, origin, width, n_buckets) {
-                    for b in first..=last {
-                        regs.push((b, i as u32));
-                    }
-                }
-            }
-            regs
-        });
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_buckets];
-        for regs in parts {
-            for (b, i) in regs {
-                buckets[b].push(i);
+            let first = ((s.as_secs() - origin) / width).max(0) as usize;
+            // end-exclusive: the last covered second is end-1.
+            let last = (((e.as_secs() - 1 - origin) / width).max(0) as usize).min(n_buckets - 1);
+            for bucket in buckets.iter_mut().take(last + 1).skip(first) {
+                bucket.push(i as u32);
             }
         }
         IntervalIndex {
@@ -214,44 +153,6 @@ impl IntervalIndex {
         out.dedup();
         out
     }
-}
-
-/// Bucket geometry over the valid (`end > start`) intervals: the origin
-/// second and the bucket count. Shared by the monolithic and partitioned
-/// builders so both produce the same layout.
-fn geometry(intervals: &[(Timestamp, Timestamp)], width: i64) -> (i64, usize) {
-    let origin = intervals
-        .iter()
-        .filter(|(s, e)| e > s)
-        .map(|(s, _)| s.as_secs())
-        .min()
-        .unwrap_or(0);
-    let max_end = intervals
-        .iter()
-        .filter(|(s, e)| e > s)
-        .map(|(_, e)| e.as_secs())
-        .max()
-        .unwrap_or(origin);
-    let n_buckets = ((max_end - origin) / width + 1).max(1) as usize;
-    (origin, n_buckets)
-}
-
-/// First and last bucket a `[s, e)` interval registers in, or `None`
-/// for degenerate/inverted intervals (kept but never matched).
-fn bucket_span(
-    s: Timestamp,
-    e: Timestamp,
-    origin: i64,
-    width: i64,
-    n_buckets: usize,
-) -> Option<(usize, usize)> {
-    if e <= s {
-        return None;
-    }
-    let first = ((s.as_secs() - origin) / width).max(0) as usize;
-    // end-exclusive: the last covered second is end-1.
-    let last = (((e.as_secs() - 1 - origin) / width).max(0) as usize).min(n_buckets - 1);
-    Some((first, last))
 }
 
 #[cfg(test)]
@@ -354,40 +255,6 @@ mod tests {
                 .collect();
             assert_eq!(idx.overlapping(from, to), brute, "query {k}: [{from:?}, {to:?})");
         }
-    }
-
-    #[test]
-    fn partitioned_build_matches_monolithic() {
-        let mut state = 424242u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as i64
-        };
-        let intervals: Vec<(Timestamp, Timestamp)> = (0..300)
-            .map(|_| {
-                let s = next() % 10_000;
-                let len = next() % 800 - 50; // some degenerate/inverted
-                (t(s), t(s + len))
-            })
-            .collect();
-        let mono = IntervalIndex::build(intervals.clone(), Span::from_secs(97));
-        // Uneven runs, including an empty one.
-        let runs = vec![0..37, 37..37, 37..120, 120..299, 299..300];
-        let part = IntervalIndex::build_partitioned(intervals.clone(), &runs, Span::from_secs(97));
-        assert_eq!(mono, part);
-        // The trivial single-run split is also identical.
-        let whole = 0..intervals.len();
-        let single = IntervalIndex::build_partitioned(
-            intervals.clone(),
-            std::slice::from_ref(&whole),
-            Span::from_secs(97),
-        );
-        assert_eq!(mono, single);
-        // And so is the empty index.
-        assert_eq!(
-            IntervalIndex::build(vec![], Span::from_secs(5)),
-            IntervalIndex::build_partitioned(vec![], &[], Span::from_secs(5)),
-        );
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! "impact of system events on job execution" analysis; attributing an
 //! event wrongly (purely by time, or purely by place) badly over-counts
 //! impact, which is why both predicates are required.
+//!
+//! [`job_span_index`] builds the job-span index in one pass over the job
+//! log; `bgq_core`'s `DatasetIndex` builds it once per dataset and shares
+//! it across severities through [`attribute_events_with`].
 
 use bgq_model::{JobRecord, RasRecord, Severity, Span};
 
@@ -75,25 +79,6 @@ pub fn job_span_index(jobs: &[JobRecord]) -> IntervalIndex {
     bgq_obs::time("join.span_index", || {
         IntervalIndex::build(
             jobs.iter().map(|j| (j.started_at, j.ended_at)),
-            JOB_SPAN_BUCKET,
-        )
-    })
-}
-
-/// [`job_span_index`] built from contiguous runs of the job log (one run
-/// per partition day) via [`IntervalIndex::build_partitioned`] — the
-/// result is bit-identical to [`job_span_index`] over the same slice.
-///
-/// `runs` must cover `0..jobs.len()` contiguously in order.
-#[must_use]
-pub fn job_span_index_partitioned(
-    jobs: &[JobRecord],
-    runs: &[std::ops::Range<usize>],
-) -> IntervalIndex {
-    bgq_obs::time("join.span_index", || {
-        IntervalIndex::build_partitioned(
-            jobs.iter().map(|j| (j.started_at, j.ended_at)),
-            runs,
             JOB_SPAN_BUCKET,
         )
     })

@@ -235,8 +235,8 @@ fn io_err(path: &Path, source: io::Error) -> SnapshotError {
 /// Row ranges of one partition day within a canonically ordered dataset.
 ///
 /// I/O rows are deliberately absent: the canonical I/O order is by job
-/// id, which does not group by day, and no index artifact partitions
-/// over the I/O table.
+/// id, which does not group by day (a day's I/O segment holds the rows
+/// of that day's jobs instead).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpan {
     /// Partition day (unix epoch days).
@@ -250,7 +250,7 @@ pub struct PartitionSpan {
 }
 
 /// Day-partition boundaries of a canonically ordered [`Dataset`] — the
-/// unit of incremental index building and of snapshot segments.
+/// unit of snapshot segments and of a live feed's commits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionMap {
     /// One span per day, ascending; days with no rows in any table are

@@ -369,7 +369,6 @@ mod tests {
     use super::*;
     use crate::protocol::{respond, Query};
     use bgq_core::analysis::Analysis;
-    use bgq_core::filtering::FilterConfig;
     use bgq_core::index::DatasetIndex;
     use bgq_core::ras_analysis::affected_jobs_indexed;
     use bgq_logs::snapshot::PartitionSpan;
@@ -436,11 +435,7 @@ mod tests {
             days.push(span.day);
             e = tally.advance(1, &fresh, &days, &SourceAvailability::ALL, Vec::new());
 
-            let idx = DatasetIndex::build_partitioned(
-                &prefix,
-                &PartitionMap::of_dataset(&prefix),
-                &FilterConfig::default(),
-            );
+            let idx = DatasetIndex::build(&prefix);
             let batch = Analysis::run_indexed(&idx);
             let at = span.day;
             assert_eq!(e.per_user, batch.per_user, "day {at}");

@@ -3,12 +3,12 @@
 use std::path::Path;
 
 use bgq_core::index::IndexBuilder;
-use bgq_logs::snapshot::{self, PartitionMap};
+use bgq_logs::snapshot;
 use bgq_logs::store::LoadOptions;
 use bgq_serve::{Epoch, QuarantinedSegment};
 
 /// The serve layer's batch oracle: a cold full load of `root` under
-/// `load` and a cold index build, rendered into an [`Epoch`] carrying
+/// `load`, folded in one batch and rendered into an [`Epoch`] carrying
 /// `epoch_no` so its `OK` headers line up with the daemon's.
 pub fn batch_epoch(root: &Path, epoch_no: u64, load: &LoadOptions) -> Epoch {
     let manifest = snapshot::read_manifest(root).expect("batch manifest");
@@ -22,11 +22,10 @@ pub fn batch_epoch(root: &Path, epoch_no: u64, load: &LoadOptions) -> Epoch {
             reason: seg.quarantined.expect("quarantined segment has a reason"),
         })
         .collect();
-    let parts = PartitionMap::of_dataset(&ds);
     Epoch::build(
         epoch_no,
         &ds,
-        &parts,
+        &report.partitions,
         &manifest.days,
         &manifest.availability,
         &mut IndexBuilder::new(),

@@ -10,8 +10,9 @@
 //! 2. **Order contract** — both persistence paths normalize at the
 //!    load boundary: a scrambled dataset round-trips through CSV and
 //!    through the snapshot store to the same canonical form.
-//! 3. **Partitioned build parity** — the analysis built per-partition
-//!    from the snapshot's [`PartitionMap`] equals the monolithic build.
+//! 3. **Partitioned entry point parity** — the analysis over
+//!    `DatasetIndex::build_partitioned`, given the snapshot's
+//!    [`PartitionMap`], equals [`Analysis::run`].
 //! 4. **Format stability** — a committed v2 fixture snapshot keeps
 //!    loading bit-identically; regenerate it with
 //!    `BGQ_UPDATE_SNAPSHOT_FIXTURE=1 cargo test --test snapshot` if the
@@ -85,9 +86,10 @@ fn scrambled_dataset_round_trips_to_canonical_order_on_both_paths() {
     std::fs::remove_dir_all(&snap).ok();
 }
 
-/// Contract 3: the per-day index build (what the CLI runs after every
-/// load) equals the whole-dataset build, all the way to the final
-/// analysis artifact.
+/// Contract 3: `DatasetIndex::build_partitioned`, the entry point the
+/// benchmark harness calls with a snapshot's partition map, builds the
+/// same index as `DatasetIndex::build`, all the way to the final analysis
+/// artifact.
 #[test]
 fn partitioned_analysis_equals_monolithic() {
     let ds = sim_dataset();
