@@ -6,7 +6,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use bgq_core::analysis::Analysis;
+use bgq_core::analysis::{stage_tables, Analysis};
 use bgq_core::filtering::FilterConfig;
 use bgq_core::index::DatasetIndex;
 use bgq_core::report::{group_thousands, percent, Align, Table};
@@ -594,7 +594,7 @@ fn cmd_import(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
         (Some(s), Some(d), None) => (PathBuf::from(s), PathBuf::from(d)),
         _ => return Err(CliError::Usage("import requires SRC and DEST directories".into())),
     };
-    let (ds, avail) = load_dataset(&src, opts)?;
+    let (ds, avail) = load_dataset(&src, &snapshot::TABLES, opts)?;
     let stats = snapshot::write_dir(&ds, &dest, &avail)?;
     let mut out = degraded_banner(&avail);
     out.push_str(&format!(
@@ -625,10 +625,10 @@ fn positional<'a>(args: &'a [String], value_flags: &[&str]) -> Option<&'a String
 /// survived loading.
 type LoadedDataset = (Dataset, SourceAvailability);
 
-fn load(args: &[String], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
+fn load(args: &[String], tables: &[&str], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
     let dir = positional(args, &["--gap-mins", "--window-hours", "--window-days"])
         .ok_or_else(|| CliError::Usage("missing dataset directory".into()))?;
-    load_dataset(Path::new(dir), opts)
+    load_dataset(Path::new(dir), tables, opts)
 }
 
 /// Loads a dataset strictly, leniently when `--max-reject-ratio` was
@@ -641,16 +641,20 @@ fn load(args: &[String], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
 ///
 /// A directory holding a snapshot MANIFEST is loaded through the
 /// columnar snapshot path (same strict/lenient/degraded semantics, with
-/// the reject ceiling enforced per segment); anything else goes through
-/// the CSV store.
-fn load_dataset(dir: &Path, opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
+/// the reject ceiling enforced per segment), which decodes only the
+/// `tables` the command reads: the others stay empty, and damage in
+/// their segments goes unseen. A table the MANIFEST marks unavailable
+/// still fails a strict load, or is quarantined under `--degraded`,
+/// named or not. Anything else goes through the CSV store, which loads
+/// all four tables.
+fn load_dataset(dir: &Path, tables: &[&str], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
     let load_opts = LoadOptions {
         max_reject_ratio: opts.max_reject_ratio.unwrap_or(0.0),
         degraded: opts.degraded,
         ..LoadOptions::default()
     };
     if snapshot::is_snapshot_dir(dir) {
-        let (ds, report) = snapshot::read_dir_with(dir, &load_opts)?;
+        let (ds, report) = snapshot::read_tables_with(dir, tables, &load_opts)?;
         return Ok((ds, report.load.availability()));
     }
     if opts.degraded || opts.max_reject_ratio.is_some() {
@@ -684,7 +688,7 @@ fn degraded_banner(avail: &SourceAvailability) -> String {
 }
 
 fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail) = load(args, opts)?;
+    let (ds, avail) = load(args, &stage_tables(), opts)?;
     let (_, a) = run_analysis(&ds, &avail);
     let mut out = String::new();
     if !a.degraded.is_empty() {
@@ -785,7 +789,7 @@ fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 }
 
 fn cmd_report(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail) = load(args, opts)?;
+    let (ds, avail) = load(args, &stage_tables(), opts)?;
     let (_, a) = run_analysis(&ds, &avail);
     let mut out = degraded_banner(&avail);
     out.push_str("The 22 takeaways, re-derived from this trace:\n\n");
@@ -796,7 +800,7 @@ fn cmd_report(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 }
 
 fn cmd_filter(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail) = load(args, opts)?;
+    let (ds, avail) = load(args, &["ras"], opts)?;
     let mut config = FilterConfig::default();
     if let Some(gap) = parse_num::<i64>(args, "--gap-mins")? {
         config.temporal_gap = Span::from_mins(gap);
@@ -835,7 +839,7 @@ fn cmd_filter(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 }
 
 fn cmd_lifetime(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail) = load(args, opts)?;
+    let (ds, avail) = load(args, &["jobs", "ras"], opts)?;
     let window: u32 = parse_num(args, "--window-days")?.unwrap_or(90);
     if window == 0 {
         return Err(CliError::Usage("--window-days must be positive".into()));
@@ -872,7 +876,7 @@ fn cmd_lifetime(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> 
 fn cmd_predict(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     use bgq_core::filtering::{filter_events, FilterConfig};
     use bgq_core::prediction::{predict_and_evaluate, PredictorConfig};
-    let (ds, avail) = load(args, opts)?;
+    let (ds, avail) = load(args, &["ras"], opts)?;
     let incidents = filter_events(&ds.ras, &FilterConfig::default()).incidents;
     let report = predict_and_evaluate(&ds.ras, &incidents, &PredictorConfig::default());
     let mut table = Table::new(
@@ -919,7 +923,7 @@ fn cmd_users(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     }
     let dir = positional(args, &["--top", "--epsilon"])
         .ok_or_else(|| CliError::Usage("users requires a dataset directory".into()))?;
-    let (ds, avail) = load_dataset(Path::new(dir), opts)?;
+    let (ds, avail) = load_dataset(Path::new(dir), &["jobs"], opts)?;
     let _span = bgq_obs::span!("cli.users");
 
     let rows = bgq_obs::time("cli.users.columnar", || {
@@ -1081,7 +1085,10 @@ fn cmd_profile(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 
     let before = bgq_obs::snapshot();
     let ((ds, avail), source) = match dir {
-        Some(d) => (load_dataset(Path::new(d), opts)?, d.clone()),
+        Some(d) => (
+            load_dataset(Path::new(d), &stage_tables(), opts)?,
+            d.clone(),
+        ),
         None => (
             (
                 generate(&SimConfig::small(days).with_seed(seed)).dataset,
@@ -1322,6 +1329,7 @@ mod tests {
             vec!["filter", "--gap-mins", "30"],
             vec!["lifetime", "--window-days", "4"],
             vec!["predict"],
+            vec!["users", "--top", "5"],
         ] {
             let mut via_csv = cmdline.clone();
             via_csv.push(&csv_str);
@@ -1430,6 +1438,37 @@ mod tests {
 
         let out = run(&s(&["--quiet", "--degraded", "analyze", &dir_str])).unwrap();
         assert!(out.contains("exit classes"), "{out}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn strict_snapshot_commands_ignore_damage_in_tables_they_do_not_read() {
+        let _obs = lock();
+        let dir = temp_dir("snap-unread");
+        let dir_str = dir.to_str().unwrap().to_owned();
+        run(&s(&[
+            "gen",
+            "--out",
+            &dir_str,
+            "--days",
+            "6",
+            "--seed",
+            "9",
+            "--snapshot",
+        ]))
+        .unwrap();
+        let users = run(&s(&["users", &dir_str])).unwrap();
+        let analysis = run(&s(&["analyze", &dir_str])).unwrap();
+        let day = snapshot::read_manifest(&dir).unwrap().days[0];
+        // No analysis stage reads tasks, and `users` reads only jobs.
+        std::fs::remove_file(snapshot::segment_path(&dir, "tasks", day)).unwrap();
+        assert_eq!(run(&s(&["analyze", &dir_str])).unwrap(), analysis);
+        std::fs::remove_file(snapshot::segment_path(&dir, "ras", day)).unwrap();
+        assert_eq!(run(&s(&["users", &dir_str])).unwrap(), users);
+        // A command that reads the damaged table still refuses it.
+        let err = run(&s(&["filter", &dir_str])).unwrap_err();
+        assert!(matches!(err, CliError::Snapshot(_)), "{err}");
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,5 +1,6 @@
 //! The one-call facade: run every analysis of the paper over a dataset.
 
+use bgq_logs::snapshot::TABLES;
 use bgq_logs::store::{Dataset, SourceAvailability};
 use bgq_model::ras::Severity;
 
@@ -57,6 +58,17 @@ pub const STAGE_SOURCES: &[(&str, &[&str])] = &[
     ("waits_by_queue", &["jobs"]),
     ("mean_utilization", &["jobs"]),
 ];
+
+/// The tables some stage reads — the union of [`STAGE_SOURCES`], in the
+/// snapshot's canonical table order. A load that feeds only the analysis
+/// need decode no other table.
+#[must_use]
+pub fn stage_tables() -> Vec<&'static str> {
+    TABLES
+        .into_iter()
+        .filter(|t| STAGE_SOURCES.iter().any(|(_, sources)| sources.contains(t)))
+        .collect()
+}
 
 /// A stage whose inputs were partly unavailable: its result is computed
 /// over what survived, but must not be read as a statement about the
@@ -377,6 +389,12 @@ mod tests {
         }
         // Field count: 26 stages + the degraded marker itself.
         assert_eq!(STAGE_SOURCES.len(), 26);
+    }
+
+    #[test]
+    fn stage_tables_are_the_three_tables_a_stage_reads() {
+        // No stage reads `tasks`, so an analysis load skips it.
+        assert_eq!(stage_tables(), ["jobs", "ras", "io"]);
     }
 
     #[test]

@@ -55,6 +55,10 @@
 //! ratio. Table-level absence (recorded in the manifest by an
 //! availability-aware save) quarantines the whole table exactly like a
 //! missing CSV.
+//!
+//! [`read_tables_with`] decodes only the tables a caller names: the
+//! segments of the others are never opened, so their damage cannot fail
+//! the load. Manifest availability still covers all four tables.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -91,8 +95,9 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Seconds per partition day.
 const SECS_PER_DAY: i64 = 86_400;
 
-/// The four tables in canonical order, with their stable table ids.
-const TABLES: [&str; 4] = ["jobs", "ras", "tasks", "io"];
+/// The four tables in canonical order (a table's index is its stable
+/// table id).
+pub const TABLES: [&str; 4] = ["jobs", "ras", "tasks", "io"];
 
 /// Integrity checksum over segment payloads: FNV-1a-64 run over four
 /// interleaved 8-byte little-endian lanes (32-byte blocks), with the
@@ -1211,17 +1216,23 @@ pub struct SegmentStats {
 }
 
 /// What a resilient snapshot load accepted, rejected, and quarantined.
+///
+/// A table the load was not asked to decode ([`read_tables_with`]) is
+/// absent from `load` and `segments` alike, so
+/// [`LoadReport::availability`] reports it present.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotReport {
     /// Table-level rollup, interoperable with the CSV path's report
     /// (quarantined segments surface as rejected rows **only** via
     /// [`SnapshotReport::segments`]; a table is quarantined here only
-    /// when the manifest marks it unavailable).
+    /// when the manifest marks it unavailable, requested or not).
     pub load: LoadReport,
-    /// Per-segment outcomes, in (day, table) order.
+    /// Per-segment outcomes of the decoded tables, in (table, day)
+    /// order.
     pub segments: Vec<SegmentStats>,
     /// Day partitions of the loaded dataset (recomputed after
-    /// normalization, so quarantined segments are simply absent).
+    /// normalization, so quarantined segments are simply absent, and a
+    /// table not decoded spans nothing).
     pub partitions: PartitionMap,
 }
 
@@ -1632,7 +1643,7 @@ pub fn read_dir(root: &Path) -> Result<(Dataset, PartitionMap), SnapshotError> {
     Ok((ds, report.partitions))
 }
 
-/// Resilient load of a snapshot directory.
+/// Resilient load of a snapshot directory: all four tables.
 ///
 /// `opts.max_reject_ratio` is enforced **per segment**; a segment whose
 /// ratio trips the ceiling — or that is missing, unreadable, or fails
@@ -1648,9 +1659,29 @@ pub fn read_dir_with(
     root: &Path,
     opts: &LoadOptions,
 ) -> Result<(Dataset, SnapshotReport), SnapshotError> {
+    read_tables_with(root, &TABLES, opts)
+}
+
+/// Resilient load of the named `tables` of a snapshot directory, with
+/// the semantics of [`read_dir_with`] for each of them.
+///
+/// Any other table is not read: its segments are never opened, it gets
+/// no report entry and no counters, and its rows stay empty. The
+/// manifest's availability still covers all four tables, so a table it
+/// marks unavailable fails a strict load, or is quarantined `Missing`
+/// under `opts.degraded`, whether it was named or not.
+///
+/// # Errors
+///
+/// See [`read_dir_with`].
+pub fn read_tables_with(
+    root: &Path,
+    tables: &[&str],
+    opts: &LoadOptions,
+) -> Result<(Dataset, SnapshotReport), SnapshotError> {
     let _span = bgq_obs::span!("snapshot.load");
     let manifest = read_manifest(root)?;
-    load_segments(root, &manifest.availability, &manifest.days, opts)
+    load_segments(root, &manifest.availability, &manifest.days, tables, opts)
 }
 
 /// Resilient load of an explicit subset of partition days — the
@@ -1669,15 +1700,17 @@ pub fn read_days_with(
     opts: &LoadOptions,
 ) -> Result<(Dataset, SnapshotReport), SnapshotError> {
     let _span = bgq_obs::span!("snapshot.load_days");
-    load_segments(root, avail, days, opts)
+    load_segments(root, avail, days, &TABLES, opts)
 }
 
-/// Shared segment-loading body of [`read_dir_with`] and
-/// [`read_days_with`].
+/// Shared segment-loading body of [`read_tables_with`] and
+/// [`read_days_with`]: decodes the `days` segments of the requested
+/// `tables`.
 fn load_segments(
     root: &Path,
     availability: &SourceAvailability,
     days: &[i64],
+    tables: &[&str],
     opts: &LoadOptions,
 ) -> Result<(Dataset, SnapshotReport), SnapshotError> {
     let limit = if opts.max_reject_ratio.is_nan() {
@@ -1691,13 +1724,14 @@ fn load_segments(
         segments: Vec::new(),
         partitions: PartitionMap::default(),
     };
-    // Prefetch every segment in parallel: each is an independent
-    // read+decode, and the accounting below consumes the outcomes in
-    // deterministic (table-major, day-ascending) order, so strict-mode
-    // errors and degraded reports are identical to a sequential pass.
+    // Prefetch every requested segment in parallel: each is an
+    // independent read+decode, and the accounting below consumes the
+    // outcomes in deterministic (table-major, day-ascending) order, so
+    // strict-mode errors and degraded reports are identical to a
+    // sequential pass.
     let work: Vec<(&'static str, i64)> = TABLES
         .iter()
-        .filter(|t| availability.available(t))
+        .filter(|t| availability.available(t) && tables.contains(t))
         .flat_map(|&t| days.iter().map(move |&d| (t, d)))
         .collect();
     let decoded = bgq_par::par_map(&work, |&(t, d)| read_segment(t, d, root));
@@ -1729,6 +1763,9 @@ fn load_segments(
             stats.status = TableStatus::Quarantined(QuarantineReason::Missing);
             bgq_obs::add_labeled("store.quarantined", table, 1);
             report.load.tables.push(stats);
+            continue;
+        }
+        if !tables.contains(&table) {
             continue;
         }
         for &day in days {
@@ -2406,6 +2443,87 @@ mod tests {
         merged.io.extend(second.io);
         merged.normalize();
         assert_eq!(merged, full);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A four-day simulated snapshot with every table populated.
+    fn sim_snapshot(tag: &str) -> PathBuf {
+        let root = tmp(tag);
+        std::fs::remove_dir_all(&root).ok();
+        bgq_sim::generate_to_snapshot(&bgq_sim::SimConfig::small(4).with_seed(8), &root).unwrap();
+        root
+    }
+
+    /// The options [`read_dir`] loads with: no rejected row tolerated.
+    fn strict() -> LoadOptions {
+        LoadOptions {
+            max_reject_ratio: 0.0,
+            max_retries: 0,
+            degraded: false,
+        }
+    }
+
+    #[test]
+    fn partial_load_decodes_only_the_named_tables() {
+        let root = sim_snapshot("partial");
+        let (full, full_report) = read_dir_with(&root, &strict()).unwrap();
+        assert!(!full.ras.is_empty() && !full.tasks.is_empty() && !full.io.is_empty());
+        let (jobs_only, report) = read_tables_with(&root, &["jobs"], &strict()).unwrap();
+        assert!(!jobs_only.jobs.is_empty());
+        assert_eq!(format!("{:?}", jobs_only.jobs), format!("{:?}", full.jobs));
+        assert!(jobs_only.ras.is_empty() && jobs_only.tasks.is_empty() && jobs_only.io.is_empty());
+        assert_eq!(report.load.availability(), full_report.load.availability());
+        // The other tables are not read, so nothing accounts for them.
+        let tables: Vec<_> = report.load.tables.iter().map(|t| t.table).collect();
+        assert_eq!(tables, ["jobs"]);
+        assert!(report.segments.iter().all(|s| s.table == "jobs"));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn damage_in_a_table_not_named_does_not_fail_a_strict_load() {
+        let root = sim_snapshot("partial-damage");
+        let day = read_manifest(&root).unwrap().days[0];
+        std::fs::remove_file(segment_path(&root, "ras", day)).unwrap();
+        let (ds, _) = read_tables_with(&root, &["jobs"], &strict()).unwrap();
+        assert!(!ds.jobs.is_empty());
+        let want = read_dir_with(&root, &strict()).unwrap_err();
+        let got = read_tables_with(&root, &["jobs", "ras"], &strict()).unwrap_err();
+        assert!(
+            matches!(got, SnapshotError::Segment { table: "ras", .. }),
+            "{got}"
+        );
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn unavailable_table_still_fails_or_quarantines_a_partial_load() {
+        let root = sim_snapshot("partial-unavail");
+        let path = root.join(MANIFEST_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("table ras available\n"), "{text}");
+        std::fs::write(
+            &path,
+            text.replace("table ras available", "table ras unavailable"),
+        )
+        .unwrap();
+        let err = read_tables_with(&root, &["jobs"], &strict()).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Unavailable { table: "ras" }),
+            "{err}"
+        );
+        let opts = LoadOptions {
+            degraded: true,
+            ..strict()
+        };
+        let (ds, report) = read_tables_with(&root, &["jobs"], &opts).unwrap();
+        assert!(!ds.jobs.is_empty());
+        assert_eq!(
+            report.load.table("ras").unwrap().status,
+            TableStatus::Quarantined(QuarantineReason::Missing)
+        );
+        assert_eq!(report.load.availability().missing(), vec!["ras"]);
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -295,7 +295,10 @@ impl Default for SourceAvailability {
 /// — the run manifest surfaces these totals as provenance.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadReport {
-    /// One entry per table, in load order (jobs, ras, tasks, io).
+    /// One entry per table, in load order (jobs, ras, tasks, io). A
+    /// snapshot load that decodes only some tables
+    /// ([`crate::snapshot::read_tables_with`]) has no entry for the
+    /// others unless the manifest marks them unavailable.
     pub tables: Vec<TableLoadStats>,
 }
 
@@ -318,7 +321,8 @@ impl LoadReport {
         self.tables.iter().any(TableLoadStats::is_quarantined)
     }
 
-    /// Which sources the load delivered (quarantined tables are absent).
+    /// Which sources the load delivered (quarantined tables are absent;
+    /// a table with no entry counts as present).
     #[must_use]
     pub fn availability(&self) -> SourceAvailability {
         let mut avail = SourceAvailability::ALL;

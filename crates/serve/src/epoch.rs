@@ -26,13 +26,9 @@ use bgq_core::filtering::InterruptionStats;
 use bgq_core::index::IndexBuilder;
 use bgq_core::jobstats::EntityActivity;
 use bgq_logs::join::attribute_events;
-use bgq_logs::snapshot::{day_start, PartitionMap, SegmentQuarantine};
+use bgq_logs::snapshot::{day_start, PartitionMap, SegmentQuarantine, TABLES};
 use bgq_logs::store::{Dataset, SourceAvailability};
 use bgq_model::{JobRecord, Severity, Timestamp};
-
-/// The four tables, in the snapshot's canonical order — used for the
-/// degraded-banner ordering in `STATS`.
-const TABLES: [&str; 4] = ["jobs", "ras", "tasks", "io"];
 
 /// One quarantined live segment, as surfaced in `STATS`.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -26,7 +26,7 @@
 mod common;
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use bgq_chaos::{
@@ -41,8 +41,34 @@ use bgq_logs::store::{
 use bgq_model::Timestamp;
 use bgq_sim::{generate, generate_to_snapshot, SimConfig};
 
+/// A directory's files, held in memory. The shared fixtures are written
+/// once, read back and removed, so a run leaves no fixture behind and
+/// every case directory gets the same bytes.
+type DirFiles = Vec<(std::ffi::OsString, Vec<u8>)>;
+
+/// Reads every file of `dir`, then removes the directory.
+fn take_files(dir: &Path) -> DirFiles {
+    let files = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (entry.file_name(), std::fs::read(entry.path()).unwrap())
+        })
+        .collect();
+    std::fs::remove_dir_all(dir).unwrap();
+    files
+}
+
+/// Writes `files` into the directory `to`, creating it.
+fn write_files(files: &DirFiles, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for (name, bytes) in files {
+        std::fs::write(to.join(name), bytes).unwrap();
+    }
+}
+
 struct Baseline {
-    dir: PathBuf,
+    files: DirFiles,
     ds: Dataset,
     analysis_debug: String,
 }
@@ -64,19 +90,11 @@ fn baseline() -> &'static Baseline {
         assert_eq!(reloaded, ds, "save/load is lossless on clean data");
         let analysis_debug = format!("{:?}", Analysis::run(&ds));
         Baseline {
-            dir,
+            files: take_files(&dir),
             ds,
             analysis_debug,
         }
     })
-}
-
-fn copy_dataset(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for table in bgq_chaos::TABLES {
-        std::fs::copy(from.join(format!("{table}.csv")), to.join(format!("{table}.csv")))
-            .unwrap();
-    }
 }
 
 /// The survivor rows the ledger predicts, built from the clean
@@ -174,7 +192,7 @@ fn run_case(seed: u64) -> ChaosLedger {
         "bgq-chaos-case-{seed}-{}",
         std::process::id()
     ));
-    copy_dataset(&base.dir, &case_dir);
+    write_files(&base.files, &case_dir);
     let table_static = bgq_chaos::TABLES
         .iter()
         .find(|t| **t == table)
@@ -255,7 +273,7 @@ fn run_corpus(seeds: std::ops::Range<u64>) {
                     "bgq-chaos-replay-{seed}-{}",
                     std::process::id()
                 ));
-                copy_dataset(&baseline().dir, &replay_dir);
+                write_files(&baseline().files, &replay_dir);
                 let table_static =
                     bgq_chaos::TABLES.iter().find(|t| **t == table).copied().unwrap();
                 if let Ok(ledger) = corrupt_table(&replay_dir, table_static, mode, seed) {
@@ -317,7 +335,7 @@ fn deleting_any_single_table_degrades_instead_of_failing() {
             "bgq-chaos-delete-{table}-{}",
             std::process::id()
         ));
-        copy_dataset(&base.dir, &case_dir);
+        write_files(&base.files, &case_dir);
         std::fs::remove_file(case_dir.join(format!("{table}.csv"))).unwrap();
         let (loaded, report) = Dataset::load_dir_with(&case_dir, &opts)
             .unwrap_or_else(|e| panic!("deleting {table} must degrade, not fail: {e}"));
@@ -350,7 +368,9 @@ fn deleting_any_single_table_degrades_instead_of_failing() {
 #[test]
 fn transient_read_fault_is_retried_to_a_clean_load() {
     let base = baseline();
-    let source = FaultDir::new(&base.dir)
+    let dir = std::env::temp_dir().join(format!("bgq-chaos-transient-{}", std::process::id()));
+    write_files(&base.files, &dir);
+    let source = FaultDir::new(&dir)
         .with_fault("ras", FaultSpec::transient(64, 1))
         .with_fault("jobs", FaultSpec::transient(0, 1));
     let (loaded, report) =
@@ -360,6 +380,7 @@ fn transient_read_fault_is_retried_to_a_clean_load() {
     assert_eq!(report.table("ras").unwrap().retries, 1);
     assert_eq!(report.table("tasks").unwrap().retries, 0);
     assert_eq!(source.opens("jobs"), 2, "one failed open plus one clean rescan");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -368,7 +389,9 @@ fn transient_read_fault_is_retried_to_a_clean_load() {
 // ---------------------------------------------------------------------------
 
 struct SnapshotBaseline {
-    dir: PathBuf,
+    files: DirFiles,
+    /// The committed days, from the MANIFEST.
+    days: Vec<i64>,
     ds: Dataset,
 }
 
@@ -382,18 +405,15 @@ fn snapshot_baseline() -> &'static SnapshotBaseline {
         let (out, stats) =
             generate_to_snapshot(&SimConfig::small(6).with_seed(7), &dir).expect("write snapshot");
         assert!(stats.segments > 0, "corpus needs segments");
+        let days = snapshot::read_manifest(&dir).expect("manifest").days;
         let mut ds = out.dataset;
         ds.normalize();
-        SnapshotBaseline { dir, ds }
+        SnapshotBaseline {
+            files: take_files(&dir),
+            days,
+            ds,
+        }
     })
-}
-
-fn copy_snapshot(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
-    }
 }
 
 /// Global row indices of `table` that the snapshot writer places in the
@@ -424,9 +444,7 @@ fn rows_in_segment(ds: &Dataset, table: &str, day: i64) -> Vec<usize> {
 
 /// A day on which `table` has rows — every mode then has a real target.
 fn segment_day_with_rows(base: &SnapshotBaseline, table: &str) -> Option<i64> {
-    let manifest = snapshot::read_manifest(&base.dir).expect("manifest");
-    manifest
-        .days
+    base.days
         .iter()
         .copied()
         .find(|&d| !rows_in_segment(&base.ds, table, d).is_empty())
@@ -458,7 +476,7 @@ fn segment_corruption_matches_ledger_exactly() {
                 "bgq-chaos-seg-{case}-{}",
                 std::process::id()
             ));
-            copy_snapshot(&base.dir, &case_dir);
+            write_files(&base.files, &case_dir);
             let mut rng = SplitMix64::new(0xC0FFEE ^ case);
             let target = segment_path(&case_dir, table, day);
             let ledger = corrupt_segment(&target, mode, &mut rng).expect("corrupt segment");
@@ -585,7 +603,7 @@ fn poisoned_segment_trips_the_reject_ceiling_per_partition() {
         "bgq-chaos-seg-ceiling-{}",
         std::process::id()
     ));
-    copy_snapshot(&base.dir, &case_dir);
+    write_files(&base.files, &case_dir);
     let mut rng = SplitMix64::new(99);
     let ledger = corrupt_segment(
         &segment_path(&case_dir, "jobs", day),
@@ -704,14 +722,16 @@ fn poisoned_lineage_quarantines_rows_and_mining_survives() {
 #[test]
 fn permanent_read_fault_quarantines_in_degraded_mode() {
     let base = baseline();
-    let strict_source = FaultDir::new(&base.dir).with_fault("ras", FaultSpec::permanent(128));
+    let dir = std::env::temp_dir().join(format!("bgq-chaos-permanent-{}", std::process::id()));
+    write_files(&base.files, &dir);
+    let strict_source = FaultDir::new(&dir).with_fault("ras", FaultSpec::permanent(128));
     let err = Dataset::load_source_with(&strict_source, &LoadOptions::default()).unwrap_err();
     assert!(
         err.to_string().contains("injected read fault"),
         "strict load must surface the injected fault, got: {err}"
     );
 
-    let source = FaultDir::new(&base.dir).with_fault("ras", FaultSpec::permanent(128));
+    let source = FaultDir::new(&dir).with_fault("ras", FaultSpec::permanent(128));
     let opts = LoadOptions {
         degraded: true,
         ..LoadOptions::default()
@@ -723,6 +743,7 @@ fn permanent_read_fault_quarantines_in_degraded_mode() {
     assert_eq!(stats.retries, LoadOptions::default().max_retries);
     let analysis = Analysis::run(&loaded).mark_degraded(&report.availability());
     assert!(analysis.degraded.iter().any(|d| d.stage == "ras"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
