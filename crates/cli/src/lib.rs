@@ -527,6 +527,15 @@ fn cmd_serve(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
         degraded: true,
         ..LoadOptions::default()
     };
+    // A feed may create DIR only after generating its trace, so a
+    // missing DIR is served as epoch 0 like a missing MANIFEST, but a
+    // mistyped path must not pass for a healthy idle daemon.
+    if !dir.exists() {
+        bgq_obs::warn!(
+            "serve: {} does not exist; serving epoch 0 until a feed creates it",
+            dir.display()
+        );
+    }
     let store = std::sync::Arc::new(EpochStore::new());
     let mut ingestor = Ingestor::new(&dir, std::sync::Arc::clone(&store), load);
     // First poll happens before the socket opens so the daemon never
@@ -1468,6 +1477,33 @@ mod tests {
         assert_eq!(run(&s(&["users", &dir_str])).unwrap(), users);
         // A command that reads the damaged table still refuses it.
         let err = run(&s(&["filter", &dir_str])).unwrap_err();
+        assert!(matches!(err, CliError::Snapshot(_)), "{err}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_repeated_manifest_day_is_a_snapshot_error() {
+        let _obs = lock();
+        let dir = temp_dir("snap-repeat");
+        let dir_str = dir.to_str().unwrap().to_owned();
+        run(&s(&[
+            "gen",
+            "--out",
+            &dir_str,
+            "--days",
+            "6",
+            "--seed",
+            "1",
+            "--snapshot",
+        ]))
+        .unwrap();
+        let path = dir.join(snapshot::MANIFEST_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let day = format!("day {}\n", snapshot::read_manifest(&dir).unwrap().days[2]);
+        std::fs::write(&path, text.replace(&day, &format!("{day}{day}"))).unwrap();
+        // Read as two days, the repeated one would count its jobs twice.
+        let err = run(&s(&["users", &dir_str])).unwrap_err();
         assert!(matches!(err, CliError::Snapshot(_)), "{err}");
 
         std::fs::remove_dir_all(&dir).unwrap();

@@ -688,6 +688,12 @@ pub struct SnapshotWriteStats {
 /// the canonical-order contract). Stale segment and manifest files
 /// under `root` are removed first.
 ///
+/// Every day of [`split_days`] goes through the per-day writer
+/// [`append_day`] uses, so the segments are byte-identical to a live
+/// feed's. The MANIFEST is written once, after every segment: an
+/// interrupted write leaves no MANIFEST, so a partial directory is
+/// never mistaken for a snapshot.
+///
 /// # Errors
 ///
 /// Returns [`SnapshotError`] on any filesystem failure.
@@ -705,8 +711,97 @@ pub fn write_dir(
         ds_sorted.normalize();
         &ds_sorted
     };
+    clear_dir(root)?;
+    let parts = split_days(ds);
+    let mut stats = SnapshotWriteStats {
+        days: parts.len(),
+        segments: 0,
+        bytes: 0,
+    };
+    for part in &parts {
+        let day = write_day(root, &part.rows(ds), avail)?;
+        stats.segments += day.segments;
+        stats.bytes += day.bytes;
+    }
+    let days: Vec<i64> = parts.iter().map(|p| p.span.day).collect();
+    let mpath = root.join(MANIFEST_FILE);
+    std::fs::write(&mpath, manifest_text(avail, &days)).map_err(|e| io_err(&mpath, e))?;
+    bgq_obs::add("snapshot.writes", 1);
+    Ok(stats)
+}
+
+/// One partition day of a canonically ordered dataset, as
+/// [`split_days`] cuts it.
+#[derive(Debug, Clone)]
+pub struct DayPart {
+    /// The day and its jobs, RAS and tasks row ranges (all empty on a
+    /// day that holds only I/O rows).
+    pub span: PartitionSpan,
+    /// Ascending indices into the I/O table of the rows of the jobs
+    /// starting on this day.
+    pub io: Vec<usize>,
+}
+
+impl DayPart {
+    /// This day's rows of `ds`, the dataset the part was split from.
+    /// The I/O rows are copied out, one day at a time: the canonical
+    /// I/O order (by job id) does not group by day.
+    #[must_use]
+    pub fn rows<'a>(&self, ds: &'a Dataset) -> DayRows<'a> {
+        DayRows {
+            day: self.span.day,
+            jobs: &ds.jobs[self.span.jobs.clone()],
+            ras: &ds.ras[self.span.ras.clone()],
+            tasks: &ds.tasks[self.span.tasks.clone()],
+            io: self.io.iter().map(|&i| ds.io[i].clone()).collect(),
+        }
+    }
+}
+
+/// Splits a **canonically ordered** dataset into its partition days,
+/// ascending: the one day split behind [`write_dir`] and a live feed.
+///
+/// The jobs, RAS and tasks ranges are those of
+/// [`PartitionMap::of_dataset`]. I/O rows go to the day their owning
+/// job started (the I/O log carries no timestamp of its own), and rows
+/// whose job is unknown to day 0, so a day may hold only I/O rows.
+#[must_use]
+pub fn split_days(ds: &Dataset) -> Vec<DayPart> {
+    let job_days: HashMap<JobId, i64> = ds
+        .jobs
+        .iter()
+        .map(|j| (j.job_id, day_of(j.started_at)))
+        .collect();
+    let mut io: HashMap<i64, Vec<usize>> = HashMap::new();
+    for (i, r) in ds.io.iter().enumerate() {
+        let day = job_days.get(&r.job_id).copied().unwrap_or(0);
+        io.entry(day).or_default().push(i);
+    }
+    let mut parts: Vec<DayPart> = PartitionMap::of_dataset(ds)
+        .days
+        .into_iter()
+        .map(|span| DayPart {
+            io: io.remove(&span.day).unwrap_or_default(),
+            span,
+        })
+        .collect();
+    parts.extend(io.into_iter().map(|(day, io)| DayPart {
+        span: PartitionSpan {
+            day,
+            jobs: 0..0,
+            ras: 0..0,
+            tasks: 0..0,
+        },
+        io,
+    }));
+    parts.sort_unstable_by_key(|p| p.span.day);
+    parts
+}
+
+/// Creates `root` and removes the MANIFEST and day segments a previous
+/// snapshot left there, so a rewrite cannot leave orphan days.
+fn clear_dir(root: &Path) -> Result<(), SnapshotError> {
     std::fs::create_dir_all(root).map_err(|e| io_err(root, e))?;
-    // Remove stale snapshot files so a rewrite cannot leave orphan days.
     for entry in std::fs::read_dir(root).map_err(|e| io_err(root, e))? {
         let entry = entry.map_err(|e| io_err(root, e))?;
         let name = entry.file_name();
@@ -715,75 +810,40 @@ pub fn write_dir(
             std::fs::remove_file(entry.path()).map_err(|e| io_err(&entry.path(), e))?;
         }
     }
+    Ok(())
+}
 
-    let map = PartitionMap::of_dataset(ds);
-    let io_parts = io_partition(ds);
-    let io_by_day: HashMap<i64, &Vec<usize>> =
-        io_parts.iter().map(|(d, idxs)| (*d, idxs)).collect();
-    let mut days: Vec<i64> = map.days.iter().map(|s| s.day).collect();
-    days.extend(io_parts.iter().map(|(d, _)| *d));
-    days.sort_unstable();
-    days.dedup();
-
+/// Encodes and writes one day's segments of the tables `avail` marks
+/// available: the per-day write of [`write_dir`] and [`append_day`].
+fn write_day(
+    root: &Path,
+    rows: &DayRows<'_>,
+    avail: &SourceAvailability,
+) -> Result<SnapshotWriteStats, SnapshotError> {
+    let segments = [
+        ("jobs", SegmentRows::Jobs(rows.jobs)),
+        ("ras", SegmentRows::Ras(rows.ras)),
+        ("tasks", SegmentRows::Tasks(rows.tasks)),
+        ("io", SegmentRows::Io(&rows.io)),
+    ];
     let mut stats = SnapshotWriteStats {
-        days: days.len(),
+        days: 1,
         segments: 0,
         bytes: 0,
     };
-    let span_for = |day: i64| map.days.iter().find(|s| s.day == day);
-    for &day in &days {
-        let empty = 0..0;
-        let (jr, rr, tr) = span_for(day)
-            .map(|s| (s.jobs.clone(), s.ras.clone(), s.tasks.clone()))
-            .unwrap_or((empty.clone(), empty.clone(), empty));
-        let io_rows: Vec<IoRecord> = io_by_day
-            .get(&day)
-            .map(|idxs| idxs.iter().map(|&i| ds.io[i].clone()).collect())
-            .unwrap_or_default();
-        let segments: [(&'static str, Vec<u8>); 4] = [
-            ("jobs", encode_segment("jobs", day, SegmentRows::Jobs(&ds.jobs[jr]))),
-            ("ras", encode_segment("ras", day, SegmentRows::Ras(&ds.ras[rr]))),
-            ("tasks", encode_segment("tasks", day, SegmentRows::Tasks(&ds.tasks[tr]))),
-            ("io", encode_segment("io", day, SegmentRows::Io(&io_rows))),
-        ];
-        for (table, bytes) in segments {
-            if !avail.available(table) {
-                continue;
-            }
-            let path = segment_path(root, table, day);
-            std::fs::write(&path, &bytes).map_err(|e| io_err(&path, e))?;
-            stats.segments += 1;
-            stats.bytes += bytes.len() as u64;
-            bgq_obs::add_labeled("snapshot.segments_written", table, 1);
-            bgq_obs::hist_record_labeled("snapshot.segment_bytes", table, bytes.len() as u64);
+    for (table, seg) in segments {
+        if !avail.available(table) {
+            continue;
         }
+        let bytes = encode_segment(table, rows.day, seg);
+        let path = segment_path(root, table, rows.day);
+        std::fs::write(&path, &bytes).map_err(|e| io_err(&path, e))?;
+        stats.segments += 1;
+        stats.bytes += bytes.len() as u64;
+        bgq_obs::add_labeled("snapshot.segments_written", table, 1);
+        bgq_obs::hist_record_labeled("snapshot.segment_bytes", table, bytes.len() as u64);
     }
-
-    let mpath = root.join(MANIFEST_FILE);
-    std::fs::write(&mpath, manifest_text(avail, &days)).map_err(|e| io_err(&mpath, e))?;
-    bgq_obs::add("snapshot.writes", 1);
     Ok(stats)
-}
-
-/// I/O row indices grouped by the partition day of the owning job's
-/// start (day 0 when the job is unknown), day-ascending — exactly the
-/// grouping [`write_dir`] uses to slice the I/O table into segments
-/// (the I/O log carries no timestamp of its own).
-#[must_use]
-pub fn io_partition(ds: &Dataset) -> Vec<(i64, Vec<usize>)> {
-    let job_days: HashMap<JobId, i64> = ds
-        .jobs
-        .iter()
-        .map(|j| (j.job_id, day_of(j.started_at)))
-        .collect();
-    let mut by_day: HashMap<i64, Vec<usize>> = HashMap::new();
-    for (i, r) in ds.io.iter().enumerate() {
-        let day = job_days.get(&r.job_id).copied().unwrap_or(0);
-        by_day.entry(day).or_default().push(i);
-    }
-    let mut out: Vec<(i64, Vec<usize>)> = by_day.into_iter().collect();
-    out.sort_unstable_by_key(|(d, _)| *d);
-    out
 }
 
 /// Renders the manifest text for `avail` and `days`.
@@ -807,10 +867,10 @@ fn manifest_text(avail: &SourceAvailability, days: &[i64]) -> String {
 // Live append (tailing writers)
 // ---------------------------------------------------------------------------
 
-/// One day's rows across the four tables, for [`append_day`]. Each slice
-/// must be in the table's canonical order; I/O rows are the ones whose
-/// owning job starts on `day` (see [`io_partition`]).
-#[derive(Debug, Clone, Copy)]
+/// One day's rows across the four tables, for [`append_day`]. Each table
+/// must be in its canonical order; I/O rows are the ones whose owning
+/// job starts on `day` ([`DayPart::rows`] builds one).
+#[derive(Debug, Clone)]
 pub struct DayRows<'a> {
     /// Partition day (unix epoch days).
     pub day: i64,
@@ -821,7 +881,7 @@ pub struct DayRows<'a> {
     /// Tasks starting on this day.
     pub tasks: &'a [TaskRecord],
     /// I/O profiles of jobs starting on this day.
-    pub io: &'a [IoRecord],
+    pub io: Vec<IoRecord>,
 }
 
 /// Initializes an **empty** snapshot root for live appending: clears any
@@ -834,15 +894,7 @@ pub struct DayRows<'a> {
 ///
 /// Returns [`SnapshotError`] on any filesystem failure.
 pub fn init_dir(root: &Path, avail: &SourceAvailability) -> Result<(), SnapshotError> {
-    std::fs::create_dir_all(root).map_err(|e| io_err(root, e))?;
-    for entry in std::fs::read_dir(root).map_err(|e| io_err(root, e))? {
-        let entry = entry.map_err(|e| io_err(root, e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name == MANIFEST_FILE || (name.starts_with('d') && name.ends_with(".seg")) {
-            std::fs::remove_file(entry.path()).map_err(|e| io_err(&entry.path(), e))?;
-        }
-    }
+    clear_dir(root)?;
     let mpath = root.join(MANIFEST_FILE);
     std::fs::write(&mpath, manifest_text(avail, &[])).map_err(|e| io_err(&mpath, e))?;
     Ok(())
@@ -850,13 +902,16 @@ pub fn init_dir(root: &Path, avail: &SourceAvailability) -> Result<(), SnapshotE
 
 /// Appends one day's segments to a live snapshot root.
 ///
+/// The segments go through the per-day writer [`write_dir`] uses, so a
+/// finished feed is byte-identical to a bulk write of the same days.
 /// The write order is the tailer's commit protocol: every segment file
-/// lands on disk first, and only then is the `day N` line appended to
-/// the MANIFEST — so a reader that discovers the day through the
-/// manifest (via [`ManifestTail`] or [`read_manifest`]) never observes a
-/// day whose segments are still being written. Days must be appended in
-/// strictly ascending order (the manifest contract); `avail` must match
-/// the availability recorded by [`init_dir`].
+/// lands on disk first, and only then is the `day N` line, newline
+/// included, appended to the MANIFEST — so a reader that discovers the
+/// day through the manifest (via [`ManifestTail`] or [`read_manifest`],
+/// which share one grammar) never observes a day whose segments are
+/// still being written. Days must be appended in strictly ascending
+/// order (a repeated day is corruption to every reader); `avail` must
+/// match the availability recorded by [`init_dir`].
 ///
 /// # Errors
 ///
@@ -875,36 +930,14 @@ pub fn append_day(
             detail: "missing — call init_dir before append_day".to_owned(),
         });
     }
-    let day = rows.day;
-    let segments: [(&'static str, Vec<u8>); 4] = [
-        ("jobs", encode_segment("jobs", day, SegmentRows::Jobs(rows.jobs))),
-        ("ras", encode_segment("ras", day, SegmentRows::Ras(rows.ras))),
-        ("tasks", encode_segment("tasks", day, SegmentRows::Tasks(rows.tasks))),
-        ("io", encode_segment("io", day, SegmentRows::Io(rows.io))),
-    ];
-    let mut stats = SnapshotWriteStats {
-        days: 1,
-        segments: 0,
-        bytes: 0,
-    };
-    for (table, bytes) in segments {
-        if !avail.available(table) {
-            continue;
-        }
-        let path = segment_path(root, table, day);
-        std::fs::write(&path, &bytes).map_err(|e| io_err(&path, e))?;
-        stats.segments += 1;
-        stats.bytes += bytes.len() as u64;
-        bgq_obs::add_labeled("snapshot.segments_written", table, 1);
-        bgq_obs::hist_record_labeled("snapshot.segment_bytes", table, bytes.len() as u64);
-    }
+    let stats = write_day(root, rows, avail)?;
     // Commit point: the day becomes visible to readers only here.
     use io::Write as _;
     let mut f = std::fs::OpenOptions::new()
         .append(true)
         .open(&mpath)
         .map_err(|e| io_err(&mpath, e))?;
-    f.write_all(format!("day {day}\n").as_bytes())
+    f.write_all(format!("day {}\n", rows.day).as_bytes())
         .map_err(|e| io_err(&mpath, e))?;
     bgq_obs::add("snapshot.appends", 1);
     Ok(stats)
@@ -925,86 +958,41 @@ pub struct Manifest {
     pub days: Vec<i64>,
 }
 
-/// Reads and parses `<root>/MANIFEST`.
+/// Reads and parses `<root>/MANIFEST`: a fresh [`ManifestTail`] reads
+/// the whole file in one [`ManifestTail::discover_new`], so a batch load
+/// and a live reader share one grammar and commit the same days. A
+/// `day` line counts only once its newline is written, and days must
+/// ascend strictly: a repeated or out-of-order day is corruption.
 ///
 /// # Errors
 ///
-/// Returns [`SnapshotError::Manifest`] when the file is missing,
-/// unreadable, has an unsupported version, or is structurally invalid.
+/// Returns [`SnapshotError::Manifest`] when the file is missing, has no
+/// complete header line, is unreadable, has an unsupported version, or
+/// is structurally invalid.
 pub fn read_manifest(root: &Path) -> Result<Manifest, SnapshotError> {
-    let path = root.join(MANIFEST_FILE);
-    let bad = |detail: String| SnapshotError::Manifest {
-        path: path.display().to_string(),
-        detail,
-    };
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| bad(format!("unreadable: {e}")))?;
-    let mut lines = text.lines();
-    let head = lines.next().unwrap_or_default();
-    let version = head
-        .strip_prefix("bgq-snapshot ")
-        .and_then(|v| v.parse::<u32>().ok())
-        .ok_or_else(|| bad(format!("bad header line {head:?}")))?;
-    if version != FORMAT_VERSION {
-        return Err(bad(format!(
-            "unsupported version {version} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    let mut availability = SourceAvailability::ALL;
-    let mut days = Vec::new();
-    for line in lines {
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("endian") => {
-                let e = parts.next().unwrap_or_default();
-                if e != "little" {
-                    return Err(bad(format!("unsupported endianness {e:?}")));
-                }
-            }
-            Some("table") => {
-                let name = parts.next().unwrap_or_default();
-                let state = parts.next().unwrap_or_default();
-                let ok = match state {
-                    "available" => true,
-                    "unavailable" => false,
-                    other => return Err(bad(format!("bad table state {other:?}"))),
-                };
-                match name {
-                    "jobs" => availability.jobs = ok,
-                    "ras" => availability.ras = ok,
-                    "tasks" => availability.tasks = ok,
-                    "io" => availability.io = ok,
-                    other => return Err(bad(format!("unknown table {other:?}"))),
-                }
-            }
-            Some("day") => {
-                let d = parts
-                    .next()
-                    .and_then(|d| d.parse::<i64>().ok())
-                    .ok_or_else(|| bad(format!("bad day line {line:?}")))?;
-                days.push(d);
-            }
-            Some(other) => return Err(bad(format!("unknown directive {other:?}"))),
-            None => {}
-        }
-    }
-    if !days.is_sorted() {
-        return Err(bad("days out of order".to_owned()));
+    let mut tail = ManifestTail::new(root);
+    let days = tail.discover_new()?;
+    if !tail.header_seen {
+        return Err(SnapshotError::Manifest {
+            path: root.join(MANIFEST_FILE).display().to_string(),
+            detail: "missing, or has no complete header line".to_owned(),
+        });
     }
     Ok(Manifest {
-        version,
-        availability,
+        version: FORMAT_VERSION,
+        availability: tail.availability,
         days,
     })
 }
 
 /// Incremental MANIFEST tailer: discovers newly committed partition days
-/// by reading only the bytes appended since the previous poll.
+/// by reading only the bytes appended since the previous poll. It holds
+/// the one MANIFEST grammar: [`read_manifest`] is a fresh tailer's
+/// first poll.
 ///
-/// [`read_manifest`] re-reads and re-parses the whole file every call;
-/// polling a 2001-day live log that way is O(days) per tick and O(days²)
-/// over the system life. The tailer instead remembers its byte offset
-/// into the MANIFEST (always left at a line boundary) and each
+/// Re-reading the whole file every poll would be O(days) per tick and
+/// O(days²) over the system life. The tailer instead remembers its byte
+/// offset into the MANIFEST (always left at a line boundary) and each
 /// [`ManifestTail::discover_new`] call reads only the appended suffix,
 /// so tailing is O(new segments).
 ///
@@ -1713,11 +1701,7 @@ fn load_segments(
     tables: &[&str],
     opts: &LoadOptions,
 ) -> Result<(Dataset, SnapshotReport), SnapshotError> {
-    let limit = if opts.max_reject_ratio.is_nan() {
-        0.0
-    } else {
-        opts.max_reject_ratio
-    };
+    let limit = opts.reject_ceiling();
     let mut ds = Dataset::new();
     let mut report = SnapshotReport {
         load: LoadReport::default(),
@@ -2142,6 +2126,25 @@ mod tests {
         let q = report.quarantined_segments();
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].quarantined, Some(SegmentQuarantine::RejectRatio));
+        // A NaN ceiling is zero tolerance, not a disabled guard.
+        let nan = LoadOptions {
+            max_reject_ratio: f64::NAN,
+            ..LoadOptions::default()
+        };
+        let err = read_dir_with(&root, &nan).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::RejectRatio { table: "ras", day: 15805, limit, .. } if limit == 0.0),
+            "{err}"
+        );
+        let nan = LoadOptions {
+            degraded: true,
+            ..nan
+        };
+        let (loaded, report) = read_dir_with(&root, &nan).unwrap();
+        assert_eq!(loaded.ras.len(), 1);
+        let q = report.quarantined_segments();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q[0].quarantined, Some(SegmentQuarantine::RejectRatio));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -2247,33 +2250,8 @@ mod tests {
     /// Replays `ds` through init_dir + one append_day per day.
     fn append_all(ds: &Dataset, root: &Path) {
         init_dir(root, &SourceAvailability::ALL).unwrap();
-        let map = PartitionMap::of_dataset(ds);
-        let io_parts = io_partition(ds);
-        let mut days: Vec<i64> = map.days.iter().map(|s| s.day).collect();
-        days.extend(io_parts.iter().map(|(d, _)| *d));
-        days.sort_unstable();
-        days.dedup();
-        for day in days {
-            let empty = 0..0;
-            let (jr, rr, tr) = map
-                .days
-                .iter()
-                .find(|s| s.day == day)
-                .map(|s| (s.jobs.clone(), s.ras.clone(), s.tasks.clone()))
-                .unwrap_or((empty.clone(), empty.clone(), empty));
-            let io_rows: Vec<IoRecord> = io_parts
-                .iter()
-                .find(|(d, _)| *d == day)
-                .map(|(_, idxs)| idxs.iter().map(|&i| ds.io[i].clone()).collect())
-                .unwrap_or_default();
-            let rows = DayRows {
-                day,
-                jobs: &ds.jobs[jr],
-                ras: &ds.ras[rr],
-                tasks: &ds.tasks[tr],
-                io: &io_rows,
-            };
-            append_day(root, &rows, &SourceAvailability::ALL).unwrap();
+        for part in split_days(ds) {
+            append_day(root, &part.rows(ds), &SourceAvailability::ALL).unwrap();
         }
     }
 
@@ -2313,7 +2291,7 @@ mod tests {
             jobs: &[],
             ras: &[],
             tasks: &[],
-            io: &[],
+            io: Vec::new(),
         };
         assert!(matches!(
             append_day(&root, &rows, &SourceAvailability::ALL).unwrap_err(),
@@ -2350,7 +2328,7 @@ mod tests {
             jobs: &[],
             ras: &[],
             tasks: &[],
-            io: &[],
+            io: Vec::new(),
         };
         append_day(&root, &rows, &SourceAvailability::ALL).unwrap();
         assert_eq!(tail.discover_new().unwrap(), vec![15810]);
@@ -2410,6 +2388,128 @@ mod tests {
             SnapshotError::Manifest { .. }
         ));
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// What a MANIFEST text should read as.
+    enum Want {
+        /// These days and this availability, through both readers.
+        Days(Vec<i64>, SourceAvailability),
+        /// The same error through both readers.
+        Fails,
+        /// No complete header line yet: the tail waits for a writer that
+        /// has not initialized the root, a batch load has no snapshot.
+        NotStarted,
+    }
+
+    /// One grammar for batch and live: each MANIFEST text reads the same
+    /// through `read_manifest` and through a fresh `ManifestTail`.
+    #[test]
+    fn read_manifest_and_the_tail_share_one_grammar() {
+        const HEAD: &str = "bgq-snapshot 2\nendian little\ntable jobs available\n\
+                            table ras available\ntable tasks available\ntable io available\n";
+        let all = SourceAvailability::ALL;
+        let no_ras = SourceAvailability {
+            ras: false,
+            ..SourceAvailability::ALL
+        };
+        let cases: Vec<(&str, Option<String>, Want)> = vec![
+            (
+                "clean",
+                Some(format!("{HEAD}day 15804\nday 15805\n")),
+                Want::Days(vec![15804, 15805], all),
+            ),
+            (
+                "clean, ras unavailable",
+                Some(HEAD.replace("ras available", "ras unavailable") + "day 15804\n"),
+                Want::Days(vec![15804], no_ras),
+            ),
+            (
+                "repeated day",
+                Some(format!("{HEAD}day 15804\nday 15804\nday 15805\n")),
+                Want::Fails,
+            ),
+            (
+                "days out of order",
+                Some(format!("{HEAD}day 15805\nday 15804\n")),
+                Want::Fails,
+            ),
+            (
+                "unterminated last line",
+                Some(format!("{HEAD}day 15804\nday 15805")),
+                Want::Days(vec![15804], all),
+            ),
+            (
+                "torn header",
+                Some("bgq-snapshot 2\nendian little\ntable jobs avail".to_owned()),
+                Want::Days(vec![], all),
+            ),
+            (
+                "torn header line",
+                Some("bgq-snaps".to_owned()),
+                Want::NotStarted,
+            ),
+            (
+                "unknown directive",
+                Some(format!("{HEAD}week 15804\n")),
+                Want::Fails,
+            ),
+            (
+                "unknown table",
+                Some(format!("{HEAD}table users available\n")),
+                Want::Fails,
+            ),
+            (
+                "bad table state",
+                Some(HEAD.replace("io available", "io maybe")),
+                Want::Fails,
+            ),
+            (
+                "wrong version",
+                Some(HEAD.replace("bgq-snapshot 2", "bgq-snapshot 1")),
+                Want::Fails,
+            ),
+            (
+                "big-endian",
+                Some(HEAD.replace("endian little", "endian big")),
+                Want::Fails,
+            ),
+            ("empty file", Some(String::new()), Want::NotStarted),
+            ("missing file", None, Want::NotStarted),
+        ];
+        for (i, (case, text, want)) in cases.into_iter().enumerate() {
+            let root = tmp(&format!("grammar-{i}"));
+            std::fs::create_dir_all(&root).unwrap();
+            if let Some(text) = &text {
+                std::fs::write(root.join(MANIFEST_FILE), text).unwrap();
+            }
+            let batch = read_manifest(&root);
+            let mut tail = ManifestTail::new(&root);
+            let live = tail.discover_new();
+            match want {
+                Want::Days(days, avail) => {
+                    let m = batch.unwrap_or_else(|e| panic!("{case}: batch failed: {e}"));
+                    assert_eq!((&m.days, m.availability), (&days, avail), "{case}: batch");
+                    let got = live.unwrap_or_else(|e| panic!("{case}: tail failed: {e}"));
+                    assert_eq!((got, tail.availability()), (days, avail), "{case}: tail");
+                }
+                Want::Fails => {
+                    let (Err(b), Err(l)) = (&batch, &live) else {
+                        panic!("{case}: batch {batch:?}, tail {live:?}");
+                    };
+                    assert!(matches!(b, SnapshotError::Manifest { .. }), "{case}: {b}");
+                    assert_eq!(b.to_string(), l.to_string(), "{case}");
+                }
+                Want::NotStarted => {
+                    assert!(
+                        matches!(batch, Err(SnapshotError::Manifest { .. })),
+                        "{case}: batch {batch:?}"
+                    );
+                    assert_eq!(live.unwrap(), Vec::<i64>::new(), "{case}: tail");
+                    assert_eq!(tail.availability(), all, "{case}: tail");
+                }
+            }
+            std::fs::remove_dir_all(&root).unwrap();
+        }
     }
 
     #[test]

@@ -138,6 +138,20 @@ pub struct LoadOptions {
     pub degraded: bool,
 }
 
+impl LoadOptions {
+    /// The reject ceiling both loaders enforce: `max_reject_ratio`, with
+    /// a `NaN` clamped to zero tolerance. A NaN must not disable the
+    /// guard: `ratio > NaN` is always false, which would wave every
+    /// table or segment through.
+    pub(crate) fn reject_ceiling(&self) -> f64 {
+        if self.max_reject_ratio.is_nan() {
+            0.0
+        } else {
+            self.max_reject_ratio
+        }
+    }
+}
+
 impl Default for LoadOptions {
     fn default() -> Self {
         LoadOptions {
@@ -852,14 +866,7 @@ fn load_table_resilient<R: Record>(
                 .unwrap_or_default(),
         );
     }
-    // A NaN ceiling must not disable the guard: `ratio > NaN` is always
-    // false, which would wave every table through. Clamp to zero
-    // tolerance instead.
-    let limit = if opts.max_reject_ratio.is_nan() {
-        0.0
-    } else {
-        opts.max_reject_ratio
-    };
+    let limit = opts.reject_ceiling();
     if stats.reject_ratio() > limit {
         if opts.degraded {
             push_quarantined(report, stats, QuarantineReason::RejectRatio);

@@ -367,28 +367,20 @@ mod tests {
     use bgq_core::analysis::Analysis;
     use bgq_core::index::DatasetIndex;
     use bgq_core::ras_analysis::affected_jobs_indexed;
-    use bgq_logs::snapshot::PartitionSpan;
+    use bgq_logs::snapshot::{split_days, DayRows};
     use bgq_model::ids::{JobId, ProjectId, RecId, UserId};
     use bgq_model::job::{Mode, Queue};
     use bgq_model::ras::{Category, Component, MsgId, MsgText};
     use bgq_model::{Block, Location, RasRecord};
     use bgq_sim::{generate, SimConfig};
 
-    /// The rows of one partition day of `ds`, I/O rows following their
-    /// jobs.
-    fn day_rows(ds: &Dataset, span: &PartitionSpan) -> Dataset {
-        let jobs = ds.jobs[span.jobs.clone()].to_vec();
-        let ids: std::collections::HashSet<JobId> = jobs.iter().map(|j| j.job_id).collect();
+    /// One partition day's rows as a dataset of their own.
+    fn day_rows(rows: DayRows<'_>) -> Dataset {
         Dataset {
-            jobs,
-            ras: ds.ras[span.ras.clone()].to_vec(),
-            tasks: ds.tasks[span.tasks.clone()].to_vec(),
-            io: ds
-                .io
-                .iter()
-                .filter(|r| ids.contains(&r.job_id))
-                .cloned()
-                .collect(),
+            jobs: rows.jobs.to_vec(),
+            ras: rows.ras.to_vec(),
+            tasks: rows.tasks.to_vec(),
+            io: rows.io,
         }
     }
 
@@ -414,8 +406,8 @@ mod tests {
             .with_users(25, 3)
             .with_retries(0.2);
         let ds = generate(&config).dataset;
-        let parts = PartitionMap::of_dataset(&ds);
-        assert!(parts.days.len() > 1, "the trace must span several days");
+        let parts = split_days(&ds);
+        assert!(parts.len() > 1, "the trace must span several days");
         assert!(
             ds.jobs.iter().any(|j| j.resubmit_of.is_some()),
             "no retries"
@@ -424,16 +416,16 @@ mod tests {
         let mut prefix = Dataset::new();
         let mut days = Vec::new();
         let mut e = Epoch::empty();
-        for span in &parts.days {
-            let fresh = day_rows(&ds, span);
+        for part in &parts {
+            let fresh = day_rows(part.rows(&ds));
             append(&mut prefix, &fresh);
             prefix.io.sort_by_key(|r| r.job_id);
-            days.push(span.day);
+            days.push(part.span.day);
             e = tally.advance(1, &fresh, &days, &SourceAvailability::ALL, Vec::new());
 
             let idx = DatasetIndex::build(&prefix);
             let batch = Analysis::run_indexed(&idx);
-            let at = span.day;
+            let at = part.span.day;
             assert_eq!(e.per_user, batch.per_user, "day {at}");
             assert_eq!(e.interruptions, batch.interruptions, "day {at}");
             assert_eq!(e.rate_by_scale, batch.rate_by_scale, "day {at}");

@@ -2,9 +2,11 @@
 //! snapshot directory one partition day at a time.
 //!
 //! The emitter generates the full trace up front (so the stream is
-//! deterministic — the same seed always yields the same day sequence)
-//! and then appends day partitions through the snapshot layer's
-//! commit-ordered [`append_day`] path. Tests drive the tick explicitly
+//! deterministic — the same seed always yields the same day sequence),
+//! splits it once with the snapshot layer's [`split_days`] (the day
+//! split [`write_dir`] uses), and then appends one day per tick through
+//! the commit-ordered [`append_day`] path, which shares its per-day
+//! segment writer with [`write_dir`]. Tests drive the tick explicitly
 //! via [`LiveEmitter::emit_next_day`]; the CLI's `gen --live` adds a
 //! wall-clock interval on top. A tailing reader (`mira-mine serve`)
 //! discovers each committed day through a
@@ -12,16 +14,15 @@
 //! prefix of the eventual bulk snapshot: after the final tick the
 //! directory is byte-identical to what [`generate_to_snapshot`] writes.
 //!
+//! [`split_days`]: bgq_logs::snapshot::split_days
+//! [`write_dir`]: bgq_logs::snapshot::write_dir
 //! [`append_day`]: bgq_logs::snapshot::append_day
 //! [`generate_to_snapshot`]: crate::generate_to_snapshot
 
 use std::path::{Path, PathBuf};
 
-use bgq_logs::snapshot::{
-    self, DayRows, PartitionMap, SnapshotError, SnapshotWriteStats,
-};
+use bgq_logs::snapshot::{self, DayPart, SnapshotError, SnapshotWriteStats};
 use bgq_logs::store::{Dataset, SourceAvailability};
-use bgq_model::IoRecord;
 
 use crate::config::SimConfig;
 use crate::sim::{generate, SimOutput};
@@ -30,14 +31,10 @@ use crate::sim::{generate, SimOutput};
 #[derive(Debug)]
 pub struct LiveEmitter {
     output: SimOutput,
-    parts: PartitionMap,
-    /// Union of partition days across all four tables, ascending.
-    days: Vec<i64>,
-    /// Owned I/O rows per entry of `days` (the I/O table partitions by
-    /// the owning job's start day, not by its own order).
-    io_by_day: Vec<Vec<IoRecord>>,
+    /// The trace's partition days, ascending.
+    parts: Vec<DayPart>,
     root: PathBuf,
-    /// Index into `days` of the next day to emit.
+    /// Index into `parts` of the next day to emit.
     next: usize,
 }
 
@@ -60,22 +57,9 @@ impl LiveEmitter {
     /// Returns [`SnapshotError`] when the root cannot be initialized.
     pub fn over(output: SimOutput, root: &Path) -> Result<LiveEmitter, SnapshotError> {
         snapshot::init_dir(root, &SourceAvailability::ALL)?;
-        let parts = PartitionMap::of_dataset(&output.dataset);
-        let io_parts = snapshot::io_partition(&output.dataset);
-        let mut days: Vec<i64> = parts.days.iter().map(|s| s.day).collect();
-        days.extend(io_parts.iter().map(|(d, _)| *d));
-        days.sort_unstable();
-        days.dedup();
-        let mut io_by_day = vec![Vec::new(); days.len()];
-        for (day, idxs) in io_parts {
-            let slot = days.binary_search(&day).expect("io day is in the union");
-            io_by_day[slot] = idxs.iter().map(|&i| output.dataset.io[i].clone()).collect();
-        }
         Ok(LiveEmitter {
+            parts: snapshot::split_days(&output.dataset),
             output,
-            parts,
-            days,
-            io_by_day,
             root: root.to_owned(),
             next: 0,
         })
@@ -84,7 +68,7 @@ impl LiveEmitter {
     /// Total partition days the trace spans.
     #[must_use]
     pub fn total_days(&self) -> usize {
-        self.days.len()
+        self.parts.len()
     }
 
     /// Days emitted so far.
@@ -96,7 +80,7 @@ impl LiveEmitter {
     /// Days still to emit.
     #[must_use]
     pub fn remaining_days(&self) -> usize {
-        self.days.len() - self.next
+        self.parts.len() - self.next
     }
 
     /// The full generated output (dataset + ground truth).
@@ -121,29 +105,14 @@ impl LiveEmitter {
     pub fn emit_next_day(
         &mut self,
     ) -> Result<Option<(i64, SnapshotWriteStats)>, SnapshotError> {
-        let Some(&day) = self.days.get(self.next) else {
+        let Some(part) = self.parts.get(self.next) else {
             return Ok(None);
         };
-        let ds = &self.output.dataset;
-        let empty = 0..0;
-        let (jr, rr, tr) = self
-            .parts
-            .days
-            .iter()
-            .find(|s| s.day == day)
-            .map(|s| (s.jobs.clone(), s.ras.clone(), s.tasks.clone()))
-            .unwrap_or((empty.clone(), empty.clone(), empty));
-        let rows = DayRows {
-            day,
-            jobs: &ds.jobs[jr],
-            ras: &ds.ras[rr],
-            tasks: &ds.tasks[tr],
-            io: &self.io_by_day[self.next],
-        };
+        let rows = part.rows(&self.output.dataset);
         let stats = snapshot::append_day(&self.root, &rows, &SourceAvailability::ALL)?;
         self.next += 1;
         bgq_obs::add("sim.live.days_emitted", 1);
-        Ok(Some((day, stats)))
+        Ok(Some((rows.day, stats)))
     }
 
     /// Emits every remaining day; returns how many were appended.
@@ -163,15 +132,13 @@ impl LiveEmitter {
     /// exactly the days committed so far, in canonical order.
     #[must_use]
     pub fn emitted_prefix(&self) -> Dataset {
-        let ds = &self.output.dataset;
         let mut out = Dataset::new();
-        for (slot, &day) in self.days[..self.next].iter().enumerate() {
-            if let Some(s) = self.parts.days.iter().find(|s| s.day == day) {
-                out.jobs.extend_from_slice(&ds.jobs[s.jobs.clone()]);
-                out.ras.extend_from_slice(&ds.ras[s.ras.clone()]);
-                out.tasks.extend_from_slice(&ds.tasks[s.tasks.clone()]);
-            }
-            out.io.extend(self.io_by_day[slot].iter().cloned());
+        for part in &self.parts[..self.next] {
+            let rows = part.rows(&self.output.dataset);
+            out.jobs.extend_from_slice(rows.jobs);
+            out.ras.extend_from_slice(rows.ras);
+            out.tasks.extend_from_slice(rows.tasks);
+            out.io.extend(rows.io);
         }
         out.normalize();
         out

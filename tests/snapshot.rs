@@ -14,7 +14,9 @@
 //!    `DatasetIndex::build_partitioned`, given the snapshot's
 //!    [`PartitionMap`], equals [`Analysis::run`].
 //! 4. **Format stability** — a committed v2 fixture snapshot keeps
-//!    loading bit-identically; regenerate it with
+//!    loading bit-identically, and both writers (the bulk `write_dir`
+//!    and a live feed run to the end) reproduce its bytes file for
+//!    file; regenerate it with
 //!    `BGQ_UPDATE_SNAPSHOT_FIXTURE=1 cargo test --test snapshot` if the
 //!    format version is ever bumped (the test then fails until the new
 //!    bytes are committed, which is the point).
@@ -26,7 +28,7 @@ use bgq_core::filtering::FilterConfig;
 use bgq_core::index::DatasetIndex;
 use bgq_logs::snapshot::{self, PartitionMap};
 use bgq_logs::store::{Dataset, LoadOptions, SourceAvailability};
-use bgq_sim::{generate, SimConfig};
+use bgq_sim::{generate, LiveEmitter, SimConfig};
 
 fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bgq-snap-it-{tag}-{}", std::process::id()))
@@ -132,17 +134,32 @@ fn degraded_load_of_a_clean_snapshot_equals_strict() {
 
 /// The fixture's generator config. Changing this invalidates the
 /// committed bytes; regenerate with `BGQ_UPDATE_SNAPSHOT_FIXTURE=1`.
+fn fixture_config() -> SimConfig {
+    SimConfig::small(3).with_seed(11)
+}
+
 fn fixture_dataset() -> Dataset {
-    let mut ds = generate(&SimConfig::small(3).with_seed(11)).dataset;
+    let mut ds = generate(&fixture_config()).dataset;
     ds.normalize();
     ds
 }
 
+/// The committed fixture directory, regenerated first (once per test
+/// process, before any test reads it) under
+/// `BGQ_UPDATE_SNAPSHOT_FIXTURE`.
 fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+    static REGENERATE: std::sync::Once = std::sync::Once::new();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("snapshot_v2")
+        .join("snapshot_v2");
+    REGENERATE.call_once(|| {
+        if std::env::var_os("BGQ_UPDATE_SNAPSHOT_FIXTURE").is_some() {
+            snapshot::write_dir(&fixture_dataset(), &dir, &SourceAvailability::ALL)
+                .expect("regenerate fixture");
+        }
+    });
+    dir
 }
 
 /// A snapshot written by an older build of the same format version must
@@ -153,9 +170,6 @@ fn fixture_dir() -> PathBuf {
 fn committed_v2_fixture_snapshot_still_loads() {
     let dir = fixture_dir();
     let want = fixture_dataset();
-    if std::env::var_os("BGQ_UPDATE_SNAPSHOT_FIXTURE").is_some() {
-        snapshot::write_dir(&want, &dir, &SourceAvailability::ALL).expect("regenerate fixture");
-    }
     assert!(
         snapshot::is_snapshot_dir(&dir),
         "fixture snapshot missing at {}; regenerate with BGQ_UPDATE_SNAPSHOT_FIXTURE=1",
@@ -172,4 +186,61 @@ fn committed_v2_fixture_snapshot_still_loads() {
         PartitionMap::of_dataset(&want),
         "fixture partition map must match the dataset's day structure"
     );
+}
+
+/// Names of the files in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list directory")
+        .map(|e| {
+            e.expect("directory entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// `dir` holds exactly the committed fixture's files, byte for byte.
+fn assert_matches_fixture(dir: &Path) {
+    let fixture = fixture_dir();
+    let names = file_names(&fixture);
+    assert_eq!(
+        names.len(),
+        13,
+        "the fixture is a MANIFEST plus 12 segments"
+    );
+    assert_eq!(
+        file_names(dir),
+        names,
+        "{} holds other files",
+        dir.display()
+    );
+    for name in &names {
+        assert!(
+            std::fs::read(dir.join(name)).expect("read written file")
+                == std::fs::read(fixture.join(name)).expect("read fixture file"),
+            "{name} differs from the committed fixture"
+        );
+    }
+}
+
+/// Both writers reproduce the committed bytes: the bulk write of the
+/// fixture dataset, and a live feed of the same trace run to the end.
+/// They share one per-day segment writer, so comparing them with each
+/// other cannot catch a change to it; the committed bytes can.
+#[test]
+fn both_writers_reproduce_the_committed_fixture_bytes() {
+    let bulk = tmp("fixture-bulk");
+    snapshot::write_dir(&fixture_dataset(), &bulk, &SourceAvailability::ALL)
+        .expect("write snapshot");
+    assert_matches_fixture(&bulk);
+    let live = tmp("fixture-live");
+    let mut feed = LiveEmitter::new(&fixture_config(), &live).expect("init live root");
+    assert_eq!(feed.emit_all().expect("emit every day"), 3);
+    assert_matches_fixture(&live);
+    std::fs::remove_dir_all(&bulk).ok();
+    std::fs::remove_dir_all(&live).ok();
 }
