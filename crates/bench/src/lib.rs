@@ -54,8 +54,8 @@ impl ExperimentCtx {
 /// E15 (lifetime evolution) and E16 (precursor prediction) cover the
 /// paper's lifetime discussion and future-work direction.
 pub const EXPERIMENT_IDS: [&str; 17] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-    "e15", "e16", "e17",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "e17",
 ];
 
 /// Runs one experiment by id, returning its rendered report.
@@ -116,9 +116,15 @@ pub fn e1_dataset_summary(ctx: &ExperimentCtx) -> String {
         vec![Align::Left, Align::Right],
     );
     table.row(vec!["days simulated".into(), ctx.config.days.to_string()]);
-    table.row(vec!["observed span (days)".into(), format!("{:.1}", t.span_days())]);
+    table.row(vec![
+        "observed span (days)".into(),
+        format!("{:.1}", t.span_days()),
+    ]);
     table.row(vec!["jobs".into(), group_thousands(t.jobs as u64)]);
-    table.row(vec!["failed jobs".into(), group_thousands(t.failed_jobs as u64)]);
+    table.row(vec![
+        "failed jobs".into(),
+        group_thousands(t.failed_jobs as u64),
+    ]);
     table.row(vec!["users".into(), t.users.to_string()]);
     table.row(vec!["projects".into(), t.projects.to_string()]);
     table.row(vec!["core-hours".into(), format!("{:.4e}", t.core_hours)]);
@@ -126,9 +132,18 @@ pub fn e1_dataset_summary(ctx: &ExperimentCtx) -> String {
         "core-hours/day".into(),
         format!("{:.4e}", t.core_hours / t.span_days()),
     ]);
-    table.row(vec!["RAS records".into(), group_thousands(ds.ras.len() as u64)]);
-    table.row(vec!["task records".into(), group_thousands(ds.tasks.len() as u64)]);
-    table.row(vec!["I/O profiles".into(), group_thousands(ds.io.len() as u64)]);
+    table.row(vec![
+        "RAS records".into(),
+        group_thousands(ds.ras.len() as u64),
+    ]);
+    table.row(vec![
+        "task records".into(),
+        group_thousands(ds.tasks.len() as u64),
+    ]);
+    table.row(vec![
+        "I/O profiles".into(),
+        group_thousands(ds.io.len() as u64),
+    ]);
     out += &table.render();
     let _ = writeln!(
         out,
@@ -153,7 +168,13 @@ pub fn e2_size_mix(ctx: &ExperimentCtx) -> String {
             "core-hours".into(),
             "core-hour share".into(),
         ],
-        vec![Align::Right, Align::Right, Align::Right, Align::Right, Align::Right],
+        vec![
+            Align::Right,
+            Align::Right,
+            Align::Right,
+            Align::Right,
+            Align::Right,
+        ],
     );
     for r in &ctx.analysis.size_mix {
         table.row(vec![
@@ -182,7 +203,12 @@ pub fn e3_concentration(ctx: &ExperimentCtx) -> String {
         let failed: Vec<f64> = entities.iter().map(|e| e.failed as f64).collect();
         let ch: Vec<f64> = entities.iter().map(|e| e.core_hours).collect();
         let mut table = Table::new(
-            vec!["metric".into(), "gini".into(), "top-5 share".into(), "top-decile share".into()],
+            vec![
+                "metric".into(),
+                "gini".into(),
+                "top-5 share".into(),
+                "top-decile share".into(),
+            ],
             vec![Align::Left, Align::Right, Align::Right, Align::Right],
         );
         for (name, values) in [("jobs", jobs), ("failures", failed), ("core-hours", ch)] {
@@ -218,8 +244,20 @@ pub fn e4_exit_taxonomy(ctx: &ExperimentCtx) -> String {
         .map(|(_, n)| *n)
         .sum();
     let mut table = Table::new(
-        vec!["class".into(), "exit code(s)".into(), "jobs".into(), "share of failures".into(), "attribution".into()],
-        vec![Align::Left, Align::Left, Align::Right, Align::Right, Align::Left],
+        vec![
+            "class".into(),
+            "exit code(s)".into(),
+            "jobs".into(),
+            "share of failures".into(),
+            "attribution".into(),
+        ],
+        vec![
+            Align::Left,
+            Align::Left,
+            Align::Right,
+            Align::Right,
+            Align::Left,
+        ],
     );
     let code_hint = |c: &ExitClass| match c {
         ExitClass::Success => "0",
@@ -261,7 +299,12 @@ pub fn e4_exit_taxonomy(ctx: &ExperimentCtx) -> String {
 
 fn render_curve(curve: &bgq_core::failure_rates::RateCurve, label: &str) -> String {
     let mut table = Table::new(
-        vec![label.into(), "jobs".into(), "failed".into(), "fail-rate".into()],
+        vec![
+            label.into(),
+            "jobs".into(),
+            "failed".into(),
+            "fail-rate".into(),
+        ],
         vec![Align::Right, Align::Right, Align::Right, Align::Right],
     );
     for b in &curve.buckets {
@@ -377,7 +420,8 @@ pub fn e7_distribution_fits(ctx: &ExperimentCtx) -> String {
         ]);
     }
     out += &table.render();
-    out += "\nexpected shape: the recovered family matches the ground-truth column for every class\n\
+    out +=
+        "\nexpected shape: the recovered family matches the ground-truth column for every class\n\
             (exponential/Erlang(1)/Gamma(1) are the same distribution).\n";
     out
 }
@@ -445,8 +489,14 @@ pub fn e9_user_correlation(ctx: &ExperimentCtx) -> String {
         vec![Align::Left, Align::Right],
     );
     let fmt = |x: Option<f64>| x.map(|v| format!("{v:.3}")).unwrap_or_else(|| "n/a".into());
-    table.row(vec!["Pearson(core-hours, events)".into(), fmt(c.pearson_core_hours)]);
-    table.row(vec!["Spearman(core-hours, events)".into(), fmt(c.spearman_core_hours)]);
+    table.row(vec![
+        "Pearson(core-hours, events)".into(),
+        fmt(c.pearson_core_hours),
+    ]);
+    table.row(vec![
+        "Spearman(core-hours, events)".into(),
+        fmt(c.spearman_core_hours),
+    ]);
     table.row(vec!["Pearson(jobs, events)".into(), fmt(c.pearson_jobs)]);
     out += &table.render();
     let mut top: Vec<_> = c.rows.iter().collect();
@@ -468,7 +518,12 @@ pub fn e10_locality(ctx: &ExperimentCtx) -> String {
     );
     let a = &ctx.analysis;
     let mut table = Table::new(
-        vec!["granularity".into(), "elements hit".into(), "top-5 share".into(), "gini".into()],
+        vec![
+            "granularity".into(),
+            "elements hit".into(),
+            "top-5 share".into(),
+            "gini".into(),
+        ],
         vec![Align::Left, Align::Right, Align::Right, Align::Right],
     );
     for map in [&a.locality_racks, &a.locality_boards] {
@@ -512,10 +567,26 @@ pub fn e11_filter_funnel(ctx: &ExperimentCtx) -> String {
             .map(|d| format!("{d:.2}"))
             .unwrap_or_else(|| "-".into())
     };
-    table.row(vec!["raw FATAL records".into(), group_thousands(f.raw_fatal as u64), fmt(f.raw_fatal)]);
-    table.row(vec!["after temporal".into(), f.after_temporal.to_string(), fmt(f.after_temporal)]);
-    table.row(vec!["after spatial".into(), f.after_spatial.to_string(), fmt(f.after_spatial)]);
-    table.row(vec!["after similarity".into(), f.after_similarity.to_string(), fmt(f.after_similarity)]);
+    table.row(vec![
+        "raw FATAL records".into(),
+        group_thousands(f.raw_fatal as u64),
+        fmt(f.raw_fatal),
+    ]);
+    table.row(vec![
+        "after temporal".into(),
+        f.after_temporal.to_string(),
+        fmt(f.after_temporal),
+    ]);
+    table.row(vec![
+        "after spatial".into(),
+        f.after_spatial.to_string(),
+        fmt(f.after_spatial),
+    ]);
+    table.row(vec![
+        "after similarity".into(),
+        f.after_similarity.to_string(),
+        fmt(f.after_similarity),
+    ]);
     out += &table.render();
     let truth = ctx.output.truth.logical_incident_count();
     let raw_truth = ctx.output.truth.incidents.len();
@@ -550,10 +621,19 @@ pub fn e12_mtti(ctx: &ExperimentCtx) -> String {
         vec![Align::Left, Align::Right],
     );
     let fmt = |x: Option<f64>| x.map(|v| format!("{v:.2}")).unwrap_or_else(|| "n/a".into());
-    table.row(vec!["observation span (days)".into(), format!("{:.1}", s.span_days)]);
-    table.row(vec!["system-interrupted jobs".into(), s.interrupted_jobs.to_string()]);
+    table.row(vec![
+        "observation span (days)".into(),
+        format!("{:.1}", s.span_days),
+    ]);
+    table.row(vec![
+        "system-interrupted jobs".into(),
+        s.interrupted_jobs.to_string(),
+    ]);
     table.row(vec!["MTTI (days)".into(), fmt(s.mtti_days)]);
-    table.row(vec!["mean interruption gap (days)".into(), fmt(s.mean_gap_days)]);
+    table.row(vec![
+        "mean interruption gap (days)".into(),
+        fmt(s.mean_gap_days),
+    ]);
     table.row(vec![
         "filtered MTBF (days)".into(),
         fmt(f.mtbf_days(f.after_similarity)),
@@ -563,7 +643,10 @@ pub fn e12_mtti(ctx: &ExperimentCtx) -> String {
         &ctx.output.dataset.ras,
         &f.incidents,
     );
-    table.row(vec!["effective incidents (hit a job)".into(), effective.to_string()]);
+    table.row(vec![
+        "effective incidents (hit a job)".into(),
+        effective.to_string(),
+    ]);
     out += &table.render();
     out += "\npaper expectation: MTTI of a few days (≈3.5 on Mira's full 2001-day trace).\n";
     out
@@ -690,7 +773,10 @@ pub fn e16_prediction(ctx: &ExperimentCtx) -> String {
     table.row(vec!["alarms raised".into(), p.alarms.len().to_string()]);
     table.row(vec!["true alarms".into(), p.true_alarms.to_string()]);
     table.row(vec!["incidents".into(), p.total_incidents.to_string()]);
-    table.row(vec!["predicted incidents".into(), p.predicted_incidents.to_string()]);
+    table.row(vec![
+        "predicted incidents".into(),
+        p.predicted_incidents.to_string(),
+    ]);
     table.row(vec![
         "precision".into(),
         p.precision().map(percent).unwrap_or_else(|| "n/a".into()),

@@ -265,9 +265,9 @@ pub fn plan_for_seed(seed: u64) -> (&'static str, CorruptionMode) {
 /// Timestamp field indices per table (encode order).
 fn timestamp_columns(table: &str) -> &'static [usize] {
     match table {
-        "jobs" => &[7, 8, 9],   // queued_at, started_at, ended_at
-        "ras" => &[5],          // event_time
-        "tasks" => &[4, 5],     // started_at, ended_at
+        "jobs" => &[7, 8, 9], // queued_at, started_at, ended_at
+        "ras" => &[5],        // event_time
+        "tasks" => &[4, 5],   // started_at, ended_at
         _ => &[],
     }
 }
@@ -373,7 +373,10 @@ pub fn corrupt_table(
             // to a mid-record cut (same "victim + lost tail" shape,
             // different rejecting layer).
             let quoted: Vec<usize> = (0..n).filter(|&i| data[i].contains(&b'"')).collect();
-            if let Some(&v) = quoted.get(rng.below(quoted.len().max(1))).or(quoted.first()) {
+            if let Some(&v) = quoted
+                .get(rng.below(quoted.len().max(1)))
+                .or(quoted.first())
+            {
                 let q = data[v].iter().position(|&b| b == b'"').unwrap();
                 data[v].truncate(q + 1);
                 ledger.fates[v] = RowFate::RejectedCsv;
@@ -416,11 +419,7 @@ pub fn corrupt_table(
                 .filter(|&i| ledger.fates[i] == RowFate::Kept)
                 .collect();
             // Rebuild: header + surviving records.
-            let kept: Vec<Vec<u8>> = ledger
-                .survivors
-                .iter()
-                .map(|&i| data[i].clone())
-                .collect();
+            let kept: Vec<Vec<u8>> = ledger.survivors.iter().map(|&i| data[i].clone()).collect();
             records.truncate(1);
             records.extend(kept);
         }
@@ -552,8 +551,7 @@ mod tests {
         std::env::temp_dir().join(format!("bgq-chaos-{tag}-{}", std::process::id()))
     }
 
-    const IO_TABLE: &str =
-        "job_id,bytes_read,bytes_written,files_read,files_written,io_time_s\n\
+    const IO_TABLE: &str = "job_id,bytes_read,bytes_written,files_read,files_written,io_time_s\n\
          1,10,20,1,2,0.5\n\
          2,30,40,3,4,1.5\n\
          3,50,60,5,6,2.5\n";
@@ -645,8 +643,7 @@ mod tests {
     fn scramble_on_io_table_is_a_no_op() {
         let dir = tmp("scramble-io");
         write_table(&dir, "io", IO_TABLE);
-        let ledger =
-            corrupt_table(&dir, "io", CorruptionMode::ScrambleTimestamps, 13).unwrap();
+        let ledger = corrupt_table(&dir, "io", CorruptionMode::ScrambleTimestamps, 13).unwrap();
         assert!(ledger.preserves_all_rows());
         assert_eq!(
             fs::read(dir.join("io.csv")).unwrap(),

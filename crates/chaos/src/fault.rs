@@ -160,7 +160,10 @@ impl TableSource for FaultDir {
     }
 
     fn describe(&self, table: &'static str) -> String {
-        format!("fault-injected:{}", self.dir.join(format!("{table}.csv")).display())
+        format!(
+            "fault-injected:{}",
+            self.dir.join(format!("{table}.csv")).display()
+        )
     }
 }
 
@@ -171,7 +174,11 @@ mod tests {
 
     #[test]
     fn fault_read_delivers_bytes_up_to_the_offset() {
-        let mut r = FaultRead::new(Cursor::new(b"hello world".to_vec()), 5, io::ErrorKind::Other);
+        let mut r = FaultRead::new(
+            Cursor::new(b"hello world".to_vec()),
+            5,
+            io::ErrorKind::Other,
+        );
         let mut buf = [0u8; 16];
         let n = r.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"hello");

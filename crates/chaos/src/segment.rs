@@ -167,8 +167,8 @@ pub fn corrupt_segment(
     rng: &mut SplitMix64,
 ) -> io::Result<SegmentLedger> {
     let mut bytes = std::fs::read(path)?;
-    let layout = SegmentLayout::parse(&bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    let layout =
+        SegmentLayout::parse(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     if !mode.applicable(layout.table, layout.rows) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -286,6 +286,10 @@ mod tests {
             fate: SegmentFate::Quarantined(SegmentQuarantine::Checksum),
             ..ledger
         };
-        assert!(ledger.to_json().contains("\"quarantined\":"), "{}", ledger.to_json());
+        assert!(
+            ledger.to_json().contains("\"quarantined\":"),
+            "{}",
+            ledger.to_json()
+        );
     }
 }

@@ -15,7 +15,7 @@ use bgq_logs::snapshot;
 use bgq_logs::store::{Dataset, LoadOptions, SourceAvailability};
 use bgq_model::{Severity, Span};
 use bgq_obs::manifest::RunManifest;
-use bgq_serve::{start as serve_start, Client, EpochStore, Ingestor, ServerOptions, spawn_poller};
+use bgq_serve::{spawn_poller, start as serve_start, Client, EpochStore, Ingestor, ServerOptions};
 use bgq_sim::{generate, generate_to_snapshot, LiveEmitter, SimConfig};
 
 /// Errors surfaced to the user (exit code 1, message on stderr).
@@ -74,7 +74,11 @@ impl fmt::Display for CliError {
                 write!(f, "failed reading baseline {}: {detail}", path.display())
             }
             CliError::Regression { violations } => {
-                writeln!(f, "regression gate: FAIL ({} violation(s))", violations.len())?;
+                writeln!(
+                    f,
+                    "regression gate: FAIL ({} violation(s))",
+                    violations.len()
+                )?;
                 for v in violations {
                     writeln!(f, "  {v}")?;
                 }
@@ -292,7 +296,9 @@ fn split_global_flags(args: &[String]) -> Result<(Vec<String>, GlobalOpts), CliE
                     opts.max_reject_ratio = Some(ratio);
                 }
                 None => {
-                    return Err(CliError::Usage("--max-reject-ratio requires a value".into()))
+                    return Err(CliError::Usage(
+                        "--max-reject-ratio requires a value".into(),
+                    ))
                 }
             },
             other if other.starts_with("--trace=") => {
@@ -352,7 +358,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             // manifest/timeline is exactly what debugging the failure
             // needs. The original error wins over any emission error.
             let mut discarded = String::new();
-            if let Err(obs_err) = emit_observability(&before, args, &opts, &mut discarded, Some(&err))
+            if let Err(obs_err) =
+                emit_observability(&before, args, &opts, &mut discarded, Some(&err))
             {
                 bgq_obs::error!("{obs_err}");
             }
@@ -477,11 +484,7 @@ fn cmd_gen(args: &[String]) -> Result<String, CliError> {
 
 /// `gen --live`: drives a [`LiveEmitter`], committing day partitions on
 /// an interval so a concurrent `serve` daemon has something to tail.
-fn cmd_gen_live(
-    args: &[String],
-    config: &SimConfig,
-    out_dir: &Path,
-) -> Result<String, CliError> {
+fn cmd_gen_live(args: &[String], config: &SimConfig, out_dir: &Path) -> Result<String, CliError> {
     let interval_ms: u64 = parse_num(args, "--interval-ms")?.unwrap_or(1000);
     let start_days: usize = parse_num(args, "--start-days")?.unwrap_or(1);
     let mut emitter = LiveEmitter::new(config, out_dir)?;
@@ -601,7 +604,11 @@ fn cmd_import(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     let mut dirs = args.iter().filter(|a| !a.starts_with("--"));
     let (src, dest) = match (dirs.next(), dirs.next(), dirs.next()) {
         (Some(s), Some(d), None) => (PathBuf::from(s), PathBuf::from(d)),
-        _ => return Err(CliError::Usage("import requires SRC and DEST directories".into())),
+        _ => {
+            return Err(CliError::Usage(
+                "import requires SRC and DEST directories".into(),
+            ))
+        }
     };
     let (ds, avail) = load_dataset(&src, &snapshot::TABLES, opts)?;
     let stats = snapshot::write_dir(&ds, &dest, &avail)?;
@@ -727,7 +734,12 @@ fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     }
 
     let mut classes = Table::new(
-        vec!["class".into(), "jobs".into(), "share".into(), "attribution".into()],
+        vec![
+            "class".into(),
+            "jobs".into(),
+            "share".into(),
+            "attribution".into(),
+        ],
         vec![Align::Left, Align::Right, Align::Right, Align::Left],
     );
     let total: usize = a.class_breakdown.values().sum();
@@ -745,7 +757,10 @@ fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     out.push_str("exit classes:\n");
     out.push_str(&classes.render());
     if let Some(share) = a.user_caused_share {
-        out.push_str(&format!("user-caused share of failures: {}\n", percent(share)));
+        out.push_str(&format!(
+            "user-caused share of failures: {}\n",
+            percent(share)
+        ));
     }
 
     let mut scale = Table::new(
@@ -783,7 +798,10 @@ fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
 
     out.push_str(&format!(
         "\nfilter funnel: {} raw FATAL -> {} temporal -> {} spatial -> {} incidents\n",
-        a.filter.raw_fatal, a.filter.after_temporal, a.filter.after_spatial, a.filter.after_similarity
+        a.filter.raw_fatal,
+        a.filter.after_temporal,
+        a.filter.after_spatial,
+        a.filter.after_similarity
     ));
     if let Some(mtbf) = a.filter.mtbf_days(a.filter.after_similarity) {
         out.push_str(&format!("filtered MTBF: {mtbf:.2} days\n"));
@@ -828,7 +846,11 @@ fn cmd_filter(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
             .map(|d| format!("{d:.2}"))
             .unwrap_or_else(|| "-".into())
     };
-    table.row(vec!["raw FATAL".into(), outcome.raw_fatal.to_string(), fmt_mtbf(outcome.raw_fatal)]);
+    table.row(vec![
+        "raw FATAL".into(),
+        outcome.raw_fatal.to_string(),
+        fmt_mtbf(outcome.raw_fatal),
+    ]);
     table.row(vec![
         "temporal".into(),
         outcome.after_temporal.to_string(),
@@ -862,7 +884,13 @@ fn cmd_lifetime(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> 
             "system kills".into(),
             "fatal records".into(),
         ],
-        vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right],
+        vec![
+            Align::Left,
+            Align::Right,
+            Align::Right,
+            Align::Right,
+            Align::Right,
+        ],
     );
     for w in &series.windows {
         table.row(vec![
@@ -892,7 +920,10 @@ fn cmd_predict(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
         vec!["metric".into(), "value".into()],
         vec![Align::Left, Align::Right],
     );
-    table.row(vec!["alarms raised".into(), report.alarms.len().to_string()]);
+    table.row(vec![
+        "alarms raised".into(),
+        report.alarms.len().to_string(),
+    ]);
     table.row(vec!["true alarms".into(), report.true_alarms.to_string()]);
     table.row(vec!["incidents".into(), report.total_incidents.to_string()]);
     table.row(vec![
@@ -960,7 +991,12 @@ fn cmd_users(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     ));
 
     let mut activity = Table::new(
-        vec!["user".into(), "jobs".into(), "failed".into(), "core-hours".into()],
+        vec![
+            "user".into(),
+            "jobs".into(),
+            "failed".into(),
+            "core-hours".into(),
+        ],
         vec![Align::Right, Align::Right, Align::Right, Align::Right],
     );
     for r in rows.iter().take(k) {
@@ -1010,7 +1046,11 @@ fn cmd_users(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
         return Ok(out);
     }
     let mut lengths = Table::new(
-        vec!["chain length".into(), "chains".into(), "eventually succeeded".into()],
+        vec![
+            "chain length".into(),
+            "chains".into(),
+            "eventually succeeded".into(),
+        ],
         vec![Align::Right, Align::Right, Align::Right],
     );
     for row in &chains.success_by_length {
@@ -1023,7 +1063,10 @@ fn cmd_users(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     out.push_str("eventual success by chain length:\n");
     out.push_str(&lengths.render());
     if let Some(rate) = chains.give_up_rate {
-        out.push_str(&format!("give-up rate among failed chains: {}\n", percent(rate)));
+        out.push_str(&format!(
+            "give-up rate among failed chains: {}\n",
+            percent(rate)
+        ));
     }
     if let (Some(p50), Some(p90), Some(p99)) = (
         chains.gap_hist.p50(),
@@ -1146,7 +1189,13 @@ fn cmd_profile(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
         "mean (ms)".into(),
         "p99 (ms)".into(),
     ];
-    let mut aligns = vec![Align::Left, Align::Right, Align::Right, Align::Right, Align::Right];
+    let mut aligns = vec![
+        Align::Left,
+        Align::Right,
+        Align::Right,
+        Align::Right,
+        Align::Right,
+    ];
     if has_alloc {
         headers.extend(["allocs".to_owned(), "alloc KiB".into()]);
         aligns.extend([Align::Right, Align::Right]);
@@ -1166,8 +1215,12 @@ fn cmd_profile(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
             p99,
         ];
         if has_alloc {
-            row.push(group_thousands(profile.snapshot.counter("alloc.allocs", name)));
-            row.push(group_thousands(profile.snapshot.counter("alloc.bytes", name) / 1024));
+            row.push(group_thousands(
+                profile.snapshot.counter("alloc.allocs", name),
+            ));
+            row.push(group_thousands(
+                profile.snapshot.counter("alloc.bytes", name) / 1024,
+            ));
         }
         table.row(row);
     }
@@ -1323,10 +1376,21 @@ mod tests {
         let import_str = import_dir.to_str().unwrap().to_owned();
 
         // Same config through both persistence paths.
-        run(&s(&["gen", "--out", &csv_str, "--days", "8", "--seed", "3"])).unwrap();
-        let msg =
-            run(&s(&["gen", "--out", &snap_str, "--days", "8", "--seed", "3", "--snapshot"]))
-                .unwrap();
+        run(&s(&[
+            "gen", "--out", &csv_str, "--days", "8", "--seed", "3",
+        ]))
+        .unwrap();
+        let msg = run(&s(&[
+            "gen",
+            "--out",
+            &snap_str,
+            "--days",
+            "8",
+            "--seed",
+            "3",
+            "--snapshot",
+        ]))
+        .unwrap();
         assert!(msg.contains("snapshot segments"), "{msg}");
         assert!(snap_dir.join("MANIFEST").is_file());
 
@@ -1388,7 +1452,10 @@ mod tests {
         // A retry-free trace reports the absence rather than a table.
         let clean = temp_dir("users-clean");
         let clean_str = clean.to_str().unwrap().to_owned();
-        run(&s(&["gen", "--out", &clean_str, "--days", "6", "--seed", "3"])).unwrap();
+        run(&s(&[
+            "gen", "--out", &clean_str, "--days", "6", "--seed", "3",
+        ]))
+        .unwrap();
         let out = run(&s(&["users", &clean_str])).unwrap();
         assert!(out.contains("no resubmission lineage"), "{out}");
 
@@ -1428,7 +1495,17 @@ mod tests {
         let _obs = lock();
         let dir = temp_dir("snap-degraded");
         let dir_str = dir.to_str().unwrap().to_owned();
-        run(&s(&["gen", "--out", &dir_str, "--days", "6", "--seed", "9", "--snapshot"])).unwrap();
+        run(&s(&[
+            "gen",
+            "--out",
+            &dir_str,
+            "--days",
+            "6",
+            "--seed",
+            "9",
+            "--snapshot",
+        ]))
+        .unwrap();
         // Delete one day's RAS segment: strict fails, --degraded carries on.
         let seg = std::fs::read_dir(&dir)
             .unwrap()
@@ -1520,7 +1597,14 @@ mod tests {
     fn bad_numeric_flag_is_usage_error() {
         let _obs = lock();
         let dir = temp_dir("badnum");
-        let err = run(&s(&["gen", "--out", dir.to_str().unwrap(), "--days", "soon"])).unwrap_err();
+        let err = run(&s(&[
+            "gen",
+            "--out",
+            dir.to_str().unwrap(),
+            "--days",
+            "soon",
+        ]))
+        .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
     }
 
@@ -1569,7 +1653,13 @@ mod tests {
         assert!(out.contains("profiled"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        for key in ["\"meta\"", "\"spans\"", "\"counters\"", "\"gauges\"", "\"command\""] {
+        for key in [
+            "\"meta\"",
+            "\"spans\"",
+            "\"counters\"",
+            "\"gauges\"",
+            "\"command\"",
+        ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         if bgq_obs::enabled() {
@@ -1600,7 +1690,10 @@ mod tests {
         let out = run(&s(&["--trace", "profile", "--days", "3"])).unwrap();
         assert!(out.contains("command: mira-mine --trace profile"), "{out}");
         if bgq_obs::enabled() {
-            assert!(out.contains("stages (wall time summed across threads):"), "{out}");
+            assert!(
+                out.contains("stages (wall time summed across threads):"),
+                "{out}"
+            );
             assert!(out.contains("features: obs"), "{out}");
         } else {
             assert!(!out.contains("stages ("), "{out}");
@@ -1610,7 +1703,8 @@ mod tests {
 
     #[test]
     fn global_flags_parse_in_any_position() {
-        let (rest, opts) = split_global_flags(&s(&["analyze", "--degraded", "--quiet", "/d"])).unwrap();
+        let (rest, opts) =
+            split_global_flags(&s(&["analyze", "--degraded", "--quiet", "/d"])).unwrap();
         assert!(opts.degraded && opts.quiet);
         assert!(opts.trace.is_none() && opts.metrics.is_none());
         assert_eq!(rest, vec!["analyze".to_owned(), "/d".to_owned()]);
@@ -1640,7 +1734,10 @@ mod tests {
         let _obs = lock();
         let dir = temp_dir("degraded");
         let dir_str = dir.to_str().unwrap().to_owned();
-        run(&s(&["gen", "--out", &dir_str, "--days", "6", "--seed", "9"])).unwrap();
+        run(&s(&[
+            "gen", "--out", &dir_str, "--days", "6", "--seed", "9",
+        ]))
+        .unwrap();
         std::fs::remove_file(dir.join("ras.csv")).unwrap();
 
         // Strict and merely-lenient loads still fail on a missing table.
@@ -1755,7 +1852,10 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = bgq_obs::json::parse(&text).unwrap();
-        assert_eq!(doc.get("displayTimeUnit").and_then(|v| v.as_str()), Some("ms"));
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(|v| v.as_str()),
+            Some("ms")
+        );
         let events = doc.get("traceEvents").unwrap().items();
         if bgq_obs::enabled() {
             // Begin/end events nest per thread: every E closes the span
@@ -1767,8 +1867,14 @@ mod tests {
             let mut our_begins = 0;
             for ev in events {
                 let name = ev.get("name").and_then(|v| v.as_str()).unwrap().to_owned();
-                let tid = ev.get("tid").and_then(bgq_obs::json::JsonValue::as_u64).unwrap();
-                assert!(ev.get("ts").and_then(bgq_obs::json::JsonValue::as_f64).is_some());
+                let tid = ev
+                    .get("tid")
+                    .and_then(bgq_obs::json::JsonValue::as_u64)
+                    .unwrap();
+                assert!(ev
+                    .get("ts")
+                    .and_then(bgq_obs::json::JsonValue::as_f64)
+                    .is_some());
                 match ev.get("ph").and_then(|v| v.as_str()) {
                     Some("B") => {
                         if name == "analysis.run" {
@@ -1915,7 +2021,14 @@ mod tests {
 
         // The success path stamps status ok.
         let ok_path = temp_dir("metrics-ok").with_extension("json");
-        run(&s(&["--metrics", ok_path.to_str().unwrap(), "profile", "--days", "3"])).unwrap();
+        run(&s(&[
+            "--metrics",
+            ok_path.to_str().unwrap(),
+            "profile",
+            "--days",
+            "3",
+        ]))
+        .unwrap();
         let json = std::fs::read_to_string(&ok_path).unwrap();
         assert!(json.contains("\"status\":\"ok\""), "{json}");
         std::fs::remove_file(&ok_path).unwrap();

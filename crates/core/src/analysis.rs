@@ -17,7 +17,9 @@ use crate::lifetime::{lifetime_series_indexed, LifetimeSeries};
 use crate::locality::{locality_map_indexed, Level, LocalityMap};
 use crate::prediction::{predict_and_evaluate, PredictionReport, PredictorConfig};
 use crate::queueing::{mean_utilization, waits_by_queue, waits_by_size, WaitRow};
-use crate::ras_analysis::{breakdown, user_event_correlation_indexed, RasBreakdown, UserEventCorrelation};
+use crate::ras_analysis::{
+    breakdown, user_event_correlation_indexed, RasBreakdown, UserEventCorrelation,
+};
 
 /// Minimum failed jobs in an exit class before the class is fitted.
 pub const MIN_FIT_SAMPLES: usize = 30;
@@ -252,9 +254,7 @@ impl Analysis {
                             &PredictorConfig::default(),
                         )
                     }),
-                    bgq_obs::time("analysis.interruptions", || {
-                        interruption_stats_indexed(idx)
-                    }),
+                    bgq_obs::time("analysis.interruptions", || interruption_stats_indexed(idx)),
                     bgq_obs::time("analysis.locality.boards", || {
                         locality_map_indexed(idx, Severity::Fatal, Level::Board)
                     }),
@@ -288,17 +288,14 @@ impl Analysis {
                         (
                             TemporalProfile::compute(jobs.iter().map(|j| j.queued_at)),
                             TemporalProfile::compute(
-                                jobs.iter()
-                                    .filter(|j| j.exit_code != 0)
-                                    .map(|j| j.ended_at),
+                                jobs.iter().filter(|j| j.exit_code != 0).map(|j| j.ended_at),
                             ),
                         )
                     }),
                 )
             },
         );
-        let (rate_by_scale, rate_by_tasks, rate_by_core_hours, rate_by_consumed_core_hours) =
-            rates;
+        let (rate_by_scale, rate_by_tasks, rate_by_core_hours, rate_by_consumed_core_hours) = rates;
         let (waits_by_size_v, waits_by_queue_v, mean_utilization_v) = waits;
         let (submissions_profile, failures_profile) = profiles;
         Analysis {

@@ -221,8 +221,16 @@ mod tests {
         assert_eq!(
             s.success_by_length,
             vec![
-                LengthOutcome { length: 1, chains: 1, succeeded: 0 },
-                LengthOutcome { length: 3, chains: 1, succeeded: 1 },
+                LengthOutcome {
+                    length: 1,
+                    chains: 1,
+                    succeeded: 0
+                },
+                LengthOutcome {
+                    length: 3,
+                    chains: 1,
+                    succeeded: 1
+                },
             ]
         );
         // Both chains failed; one gave up.
@@ -263,7 +271,11 @@ mod tests {
         assert_eq!(s.wasted_node_seconds, 0);
         assert_eq!(
             s.success_by_length,
-            vec![LengthOutcome { length: 1, chains: 50, succeeded: 50 }]
+            vec![LengthOutcome {
+                length: 1,
+                chains: 50,
+                succeeded: 50
+            }]
         );
     }
 }

@@ -167,14 +167,22 @@ fn merge_into(acc: &mut Vec<Partial>, b: &[Partial]) {
     }
     let mut i = acc.len(); // unread accumulator entries: [0, i)
     let mut j = b.len(); // unread b entries: [0, j)
-    // Exact reservation: doubling growth would carry up to len-sized
-    // slack through the whole fold (and into finalize), defeating the
-    // memory bound; large-block reallocs are remapped, not copied.
+                         // Exact reservation: doubling growth would carry up to len-sized
+                         // slack through the whole fold (and into finalize), defeating the
+                         // memory bound; large-block reallocs are remapped, not copied.
     acc.reserve_exact(j);
-    acc.resize(i + j, Partial { id: 0, jobs: 0, failed: 0, node_seconds: 0 });
+    acc.resize(
+        i + j,
+        Partial {
+            id: 0,
+            jobs: 0,
+            failed: 0,
+            node_seconds: 0,
+        },
+    );
     let mut k = acc.len(); // written tail: [k, len)
-    // Writes land at k-1 ≥ i+j-1 ≥ i (j > 0 inside the loop), so they
-    // never touch an unread slot.
+                           // Writes land at k-1 ≥ i+j-1 ≥ i (j > 0 inside the loop), so they
+                           // never touch an unread slot.
     while i > 0 && j > 0 {
         k -= 1;
         match acc[i - 1].id.cmp(&b[j - 1].id) {
@@ -288,9 +296,9 @@ mod tests {
             assert_eq!(row.core_hours, ns as f64 * 16.0 / 3_600.0);
         }
         // Presentation order: jobs descending, id ascending.
-        assert!(got.windows(2).all(|w| {
-            w[0].jobs > w[1].jobs || (w[0].jobs == w[1].jobs && w[0].id < w[1].id)
-        }));
+        assert!(got
+            .windows(2)
+            .all(|w| { w[0].jobs > w[1].jobs || (w[0].jobs == w[1].jobs && w[0].id < w[1].id) }));
     }
 
     #[test]
@@ -309,7 +317,8 @@ mod tests {
     #[test]
     fn invariant_across_thread_counts() {
         let jobs = corpus();
-        let one = bgq_par::with_max_threads(1, || per_entity_columnar(&jobs, |j| j.user.raw(), 128));
+        let one =
+            bgq_par::with_max_threads(1, || per_entity_columnar(&jobs, |j| j.user.raw(), 128));
         let eight =
             bgq_par::with_max_threads(8, || per_entity_columnar(&jobs, |j| j.user.raw(), 128));
         assert_eq!(one, eight);

@@ -171,7 +171,10 @@ mod tests {
         // The analysis-side table is independent domain knowledge; this
         // test pins it against the generator's catalog.
         use bgq_sim::catalog::{exit_code, failure_modes};
-        assert_eq!(ExitClass::from_exit_code(exit_code::SUCCESS), ExitClass::Success);
+        assert_eq!(
+            ExitClass::from_exit_code(exit_code::SUCCESS),
+            ExitClass::Success
+        );
         assert_eq!(
             ExitClass::from_exit_code(exit_code::SYSTEM_KILL),
             ExitClass::SystemKill
@@ -179,7 +182,12 @@ mod tests {
         for mode in failure_modes() {
             let class = ExitClass::from_exit_code(mode.exit_code);
             assert!(class.is_failure());
-            assert_eq!(class.attribution(), Some(Attribution::User), "{}", mode.label);
+            assert_eq!(
+                class.attribution(),
+                Some(Attribution::User),
+                "{}",
+                mode.label
+            );
         }
     }
 

@@ -256,9 +256,7 @@ pub fn by_tasks(jobs: &[JobRecord]) -> RateCurve {
 pub fn by_core_hours(jobs: &[JobRecord]) -> RateCurve {
     curve(
         jobs,
-        |j| {
-            (f64::from(j.nodes) * 16.0 * f64::from(j.requested_walltime_s) / 3_600.0).max(1.0)
-        },
+        |j| (f64::from(j.nodes) * 16.0 * f64::from(j.requested_walltime_s) / 3_600.0).max(1.0),
         decade_edge,
         decade_label,
     )

@@ -465,8 +465,18 @@ mod tests {
         // Same board, same family, 2 h apart (beyond the temporal gap but
         // inside the similarity window).
         let ras = vec![
-            fatal(0, "R05-M0-N03", 0x0008_0001, "DDR uncorrectable error on rank 1"),
-            fatal(7_200, "R05-M0-N03", 0x0008_0002, "DDR uncorrectable error on rank 5"),
+            fatal(
+                0,
+                "R05-M0-N03",
+                0x0008_0001,
+                "DDR uncorrectable error on rank 1",
+            ),
+            fatal(
+                7_200,
+                "R05-M0-N03",
+                0x0008_0002,
+                "DDR uncorrectable error on rank 5",
+            ),
         ];
         let out = filter_events(&ras, &FilterConfig::default());
         assert_eq!(out.after_temporal, 2);
@@ -618,7 +628,10 @@ mod tests {
                 message: MsgText::default(),
                 family: 1,
             };
-            assert_eq!(effective_incidents(&jobs, &ras, std::slice::from_ref(&inc)), 1);
+            assert_eq!(
+                effective_incidents(&jobs, &ras, std::slice::from_ref(&inc)),
+                1
+            );
             // With only the off-job record, it stays non-effective.
             let miss = FilteredIncident {
                 events: vec![0],

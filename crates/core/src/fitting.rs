@@ -159,14 +159,24 @@ mod tests {
         let weib = Dist::weibull(0.7, 1500.0).unwrap();
         let expo = Dist::exponential(1.0 / 900.0).unwrap();
         for i in 0..2500 {
-            jobs.push(job_with(139, i * 100, weib.sample(&mut rng).max(1.0) as i64));
+            jobs.push(job_with(
+                139,
+                i * 100,
+                weib.sample(&mut rng).max(1.0) as i64,
+            ));
             jobs.push(job_with(1, i * 100, expo.sample(&mut rng).max(1.0) as i64));
         }
         let fits = with_index(jobs, |idx| fit_by_class_indexed(idx, 100));
         assert_eq!(fits.len(), 2);
-        let seg = fits.iter().find(|f| f.class == ExitClass::Segfault).unwrap();
+        let seg = fits
+            .iter()
+            .find(|f| f.class == ExitClass::Segfault)
+            .unwrap();
         assert_eq!(seg.best().unwrap().dist.kind(), DistKind::Weibull);
-        let setup = fits.iter().find(|f| f.class == ExitClass::SetupError).unwrap();
+        let setup = fits
+            .iter()
+            .find(|f| f.class == ExitClass::SetupError)
+            .unwrap();
         // Exponential and Erlang(k=1) coincide; accept either name.
         let kind = setup.best().unwrap().dist.kind();
         assert!(

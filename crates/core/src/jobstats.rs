@@ -264,7 +264,15 @@ mod tests {
     use bgq_model::job::{Mode, Queue};
     use bgq_model::Block;
 
-    fn job(id: u64, user: u32, project: u32, nodes: u32, exit: i32, start: i64, len: i64) -> JobRecord {
+    fn job(
+        id: u64,
+        user: u32,
+        project: u32,
+        nodes: u32,
+        exit: i32,
+        start: i64,
+        len: i64,
+    ) -> JobRecord {
         JobRecord {
             job_id: JobId::new(id),
             user: UserId::new(user),

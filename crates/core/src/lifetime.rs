@@ -61,11 +61,7 @@ pub struct LifetimeSeries {
 ///
 /// Panics if `window_days == 0`.
 #[must_use]
-pub fn lifetime_series(
-    jobs: &[JobRecord],
-    ras: &[RasRecord],
-    window_days: u32,
-) -> LifetimeSeries {
+pub fn lifetime_series(jobs: &[JobRecord], ras: &[RasRecord], window_days: u32) -> LifetimeSeries {
     series_impl(jobs, ras, window_days, |i| {
         ExitClass::from_exit_code(jobs[i].exit_code)
     })
@@ -121,8 +117,7 @@ fn series_impl(
         };
     };
     let window = Span::from_days(i64::from(window_days));
-    let n_windows =
-        (((end - start).as_secs() / window.as_secs()) + 1).max(1) as usize;
+    let n_windows = (((end - start).as_secs() / window.as_secs()) + 1).max(1) as usize;
     let index_of = move |t: Timestamp| -> usize {
         ((((t - start).as_secs().max(0)) / window.as_secs()) as usize).min(n_windows - 1)
     };

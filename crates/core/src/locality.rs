@@ -49,7 +49,13 @@ impl LocalityMap {
     /// zero events is the caller's choice; this uses observed elements
     /// only).
     pub fn gini(&self) -> Option<f64> {
-        gini(&self.counts.iter().map(|&(_, c)| c as f64).collect::<Vec<_>>())
+        gini(
+            &self
+                .counts
+                .iter()
+                .map(|&(_, c)| c as f64)
+                .collect::<Vec<_>>(),
+        )
     }
 
     /// Elements whose count is at least `factor ×` the mean count — the

@@ -37,15 +37,16 @@ pub fn waits_by_queue(jobs: &[JobRecord]) -> Vec<WaitRow> {
     })
 }
 
-fn group_waits(
-    jobs: &[JobRecord],
-    key: impl Fn(&JobRecord) -> (u64, String),
-) -> Vec<WaitRow> {
+fn group_waits(jobs: &[JobRecord], key: impl Fn(&JobRecord) -> (u64, String)) -> Vec<WaitRow> {
     let mut groups: BTreeMap<u64, (String, Vec<f64>)> = BTreeMap::new();
     for j in jobs {
         let (order, label) = key(j);
         let wait_h = j.queue_wait().as_secs().max(0) as f64 / 3_600.0;
-        groups.entry(order).or_insert_with(|| (label, Vec::new())).1.push(wait_h);
+        groups
+            .entry(order)
+            .or_insert_with(|| (label, Vec::new()))
+            .1
+            .push(wait_h);
     }
     groups
         .into_values()
@@ -88,7 +89,11 @@ pub fn utilization_series(
     for j in jobs {
         // Distribute the job's node-seconds over every window it overlaps.
         let (first, last) = job_window_range(j, start, window);
-        for (w, slot) in busy.iter_mut().enumerate().take(last.min(n - 1) + 1).skip(first)
+        for (w, slot) in busy
+            .iter_mut()
+            .enumerate()
+            .take(last.min(n - 1) + 1)
+            .skip(first)
         {
             let w_start = start + Span::from_secs(window.as_secs() * w as i64);
             let w_end = w_start + window;
@@ -164,8 +169,8 @@ mod tests {
     #[test]
     fn waits_group_by_size_in_order() {
         let jobs = vec![
-            job(512, Queue::Production, 0, 3_600, 4_000),    // 1 h wait
-            job(512, Queue::Production, 0, 7_200, 8_000),    // 2 h wait
+            job(512, Queue::Production, 0, 3_600, 4_000), // 1 h wait
+            job(512, Queue::Production, 0, 7_200, 8_000), // 2 h wait
             job(8192, Queue::Capability, 0, 36_000, 40_000), // 10 h wait
         ];
         let rows = waits_by_size(&jobs);
@@ -193,7 +198,13 @@ mod tests {
         // One job occupying the whole machine for exactly two windows.
         let machine = Machine::MIRA;
         let day = 86_400;
-        let jobs = vec![job(machine.total_nodes() as u32, Queue::Capability, 0, 0, 2 * day)];
+        let jobs = vec![job(
+            machine.total_nodes() as u32,
+            Queue::Capability,
+            0,
+            0,
+            2 * day,
+        )];
         let series = utilization_series(&jobs, &machine, 1);
         assert_eq!(series.len(), 2);
         assert!((series[0].1 - 1.0).abs() < 1e-9);
@@ -246,7 +257,13 @@ mod tests {
         // when it lands on the very last boundary of the trace.
         let machine = Machine::MIRA;
         let jobs = vec![
-            job(machine.total_nodes() as u32, Queue::Capability, 0, 0, 2 * day),
+            job(
+                machine.total_nodes() as u32,
+                Queue::Capability,
+                0,
+                0,
+                2 * day,
+            ),
             job(512, Queue::Production, 0, day, day),
             job(512, Queue::Production, 0, 2 * day, 2 * day),
         ];

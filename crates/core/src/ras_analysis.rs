@@ -181,7 +181,13 @@ mod tests {
             for k in 0..n_jobs {
                 let start = (u as i64) * 100_000 + k as i64 * 2_000;
                 let block = Block::new((u as u16 - 1) * 4, 2).unwrap();
-                jobs.push(job(u64::from(u) * 100 + k as u64, u, block, start, start + 1_000));
+                jobs.push(job(
+                    u64::from(u) * 100 + k as u64,
+                    u,
+                    block,
+                    start,
+                    start + 1_000,
+                ));
                 // One event per job, inside the block and window.
                 rec += 1;
                 let mid = block.midplanes().next().unwrap();
@@ -222,8 +228,13 @@ mod tests {
             for k in 0..(u as usize * 3) {
                 let start = (u as i64) * 100_000 + k as i64 * 2_000;
                 let block = Block::new((u as u16 - 1) * 4, 2).unwrap();
-                ds.jobs
-                    .push(job(u64::from(u) * 100 + k as u64, u, block, start, start + 1_000));
+                ds.jobs.push(job(
+                    u64::from(u) * 100 + k as u64,
+                    u,
+                    block,
+                    start,
+                    start + 1_000,
+                ));
                 rec += 1;
                 let mid = block.midplanes().next().unwrap();
                 ds.ras

@@ -152,10 +152,7 @@ mod tests {
 
     #[test]
     fn pads_short_rows() {
-        let mut t = Table::new(
-            vec!["a".into(), "b".into()],
-            vec![Align::Left, Align::Left],
-        );
+        let mut t = Table::new(vec!["a".into(), "b".into()], vec![Align::Left, Align::Left]);
         t.row(vec!["only".into()]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());

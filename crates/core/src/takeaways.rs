@@ -87,7 +87,11 @@ pub fn takeaways(a: &Analysis) -> Vec<Takeaway> {
     };
     push(format!(
         "{failed} of {jobs} jobs failed ({}).",
-        percent(if jobs > 0 { failed as f64 / jobs as f64 } else { 0.0 })
+        percent(if jobs > 0 {
+            failed as f64 / jobs as f64
+        } else {
+            0.0
+        })
     ));
     push(match a.user_caused_share {
         Some(share) => format!(
@@ -118,7 +122,11 @@ pub fn takeaways(a: &Analysis) -> Vec<Takeaway> {
         .unwrap_or(0);
     push(format!(
         "Wall-time limit kills account for {} of failures — bad estimates, still user behavior.",
-        percent(if failed > 0 { walltime as f64 / failed as f64 } else { 0.0 })
+        percent(if failed > 0 {
+            walltime as f64 / failed as f64
+        } else {
+            0.0
+        })
     ));
 
     // --- Distribution fitting (12–13).
@@ -129,7 +137,11 @@ pub fn takeaways(a: &Analysis) -> Vec<Takeaway> {
         .collect();
     push(format!(
         "The best-fitting execution-length family depends on the exit code: {}.",
-        if fits.is_empty() { "n/a".to_owned() } else { fits.join(", ") }
+        if fits.is_empty() {
+            "n/a".to_owned()
+        } else {
+            fits.join(", ")
+        }
     ));
     let interval_kind = a
         .interval_fit
@@ -143,7 +155,12 @@ pub fn takeaways(a: &Analysis) -> Vec<Takeaway> {
     // --- RAS characterization (14–18).
     let info = a.ras.by_severity.get(&Severity::Info).copied().unwrap_or(0);
     let warn = a.ras.by_severity.get(&Severity::Warn).copied().unwrap_or(0);
-    let fatal = a.ras.by_severity.get(&Severity::Fatal).copied().unwrap_or(0);
+    let fatal = a
+        .ras
+        .by_severity
+        .get(&Severity::Fatal)
+        .copied()
+        .unwrap_or(0);
     let total_ras = (info + warn + fatal).max(1);
     push(format!(
         "RAS severities are wildly imbalanced: {} INFO, {} WARN, {} FATAL.",
@@ -183,7 +200,10 @@ pub fn takeaways(a: &Analysis) -> Vec<Takeaway> {
     ));
     push(format!(
         "Each filtering stage matters: {} raw → {} temporal → {} spatial → {} similarity.",
-        a.filter.raw_fatal, a.filter.after_temporal, a.filter.after_spatial, a.filter.after_similarity
+        a.filter.raw_fatal,
+        a.filter.after_temporal,
+        a.filter.after_spatial,
+        a.filter.after_similarity
     ));
     push(format!(
         "The filtered system MTBF is {} days.",

@@ -187,7 +187,11 @@ impl Pool {
     /// string is pre-interned as symbol 0).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state().lock().expect("intern pool poisoned").strings.len()
+        self.state()
+            .lock()
+            .expect("intern pool poisoned")
+            .strings
+            .len()
     }
 
     /// `false`: every pool holds at least the empty string.

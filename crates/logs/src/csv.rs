@@ -415,10 +415,7 @@ mod tests {
 
     #[test]
     fn embedded_newlines() {
-        assert_eq!(
-            roundtrip(&["line1\nline2", "x"]),
-            vec!["line1\nline2", "x"]
-        );
+        assert_eq!(roundtrip(&["line1\nline2", "x"]), vec!["line1\nline2", "x"]);
     }
 
     #[test]

@@ -232,7 +232,9 @@ mod tests {
     fn overlapping_matches_brute_force() {
         let mut state = 987654321u64;
         let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as i64
         };
         let intervals: Vec<(Timestamp, Timestamp)> = (0..200)
@@ -253,7 +255,11 @@ mod tests {
                 .filter(|(_, (s, e))| *s < to && from < *e && e > s)
                 .map(|(i, _)| i)
                 .collect();
-            assert_eq!(idx.overlapping(from, to), brute, "query {k}: [{from:?}, {to:?})");
+            assert_eq!(
+                idx.overlapping(from, to),
+                brute,
+                "query {k}: [{from:?}, {to:?})"
+            );
         }
     }
 
@@ -262,7 +268,9 @@ mod tests {
         // Deterministic pseudo-random intervals.
         let mut state = 12345u64;
         let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as i64
         };
         let intervals: Vec<(Timestamp, Timestamp)> = (0..300)

@@ -214,7 +214,13 @@ mod tests {
             event(3, 150, "R20-M0", Severity::Fatal),     // right time, wrong place
         ];
         let join = attribute_events(&jobs, &events, Severity::Fatal);
-        assert_eq!(join.pairs, vec![Attribution { event_idx: 0, job_idx: 0 }]);
+        assert_eq!(
+            join.pairs,
+            vec![Attribution {
+                event_idx: 0,
+                job_idx: 0
+            }]
+        );
         assert_eq!(join.affected_jobs(), vec![0]);
         assert_eq!(join.effective_events(), vec![0]);
     }

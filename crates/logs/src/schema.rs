@@ -366,7 +366,14 @@ impl Record for RasRecord {
 impl Record for TaskRecord {
     const TABLE: &'static str = "tasks";
     const HEADER: &'static [&'static str] = &[
-        "task_id", "job_id", "seq", "block", "started_at", "ended_at", "ranks", "exit_code",
+        "task_id",
+        "job_id",
+        "seq",
+        "block",
+        "started_at",
+        "ended_at",
+        "ranks",
+        "exit_code",
     ];
 
     fn encode(&self) -> Vec<String> {

@@ -69,9 +69,7 @@ use std::path::{Path, PathBuf};
 use bgq_model::ids::{JobId, ProjectId, RecId, TaskId, UserId};
 use bgq_model::job::{Mode, Queue};
 use bgq_model::ras::{Category, Component, MsgId, Severity};
-use bgq_model::{
-    Block, IoRecord, JobRecord, Location, MsgText, RasRecord, TaskRecord, Timestamp,
-};
+use bgq_model::{Block, IoRecord, JobRecord, Location, MsgText, RasRecord, TaskRecord, Timestamp};
 
 use crate::store::{
     Dataset, LoadOptions, LoadReport, QuarantineReason, SourceAvailability, TableLoadStats,
@@ -211,7 +209,10 @@ impl fmt::Display for SnapshotError {
                 limit * 100.0
             ),
             SnapshotError::Unavailable { table } => {
-                write!(f, "table {table}: marked unavailable in the snapshot manifest")
+                write!(
+                    f,
+                    "table {table}: marked unavailable in the snapshot manifest"
+                )
             }
         }
     }
@@ -548,7 +549,10 @@ impl StringTable {
 // ---------------------------------------------------------------------------
 
 fn table_id(table: &str) -> u32 {
-    TABLES.iter().position(|t| *t == table).unwrap_or(u32::MAX as usize) as u32
+    TABLES
+        .iter()
+        .position(|t| *t == table)
+        .unwrap_or(u32::MAX as usize) as u32
 }
 
 /// Encodes one segment file (header + payload) for `table` and `day`.
@@ -639,7 +643,9 @@ fn encode_segment(table: &'static str, day: i64, rows: SegmentRows<'_>) -> Vec<u
 
 /// Index of `value` within an enum's `ALL` array.
 fn enum_code<T: PartialEq>(all: &[T], value: &T) -> u8 {
-    all.iter().position(|v| v == value).expect("enum value outside ALL") as u8
+    all.iter()
+        .position(|v| v == value)
+        .expect("enum value outside ALL") as u8
 }
 
 enum SegmentRows<'a> {
@@ -1074,7 +1080,10 @@ impl ManifestTail {
             }
             Err(e) => return Err(bad(format!("unreadable: {e}"))),
         };
-        let len = file.metadata().map_err(|e| bad(format!("unreadable: {e}")))?.len();
+        let len = file
+            .metadata()
+            .map_err(|e| bad(format!("unreadable: {e}")))?
+            .len();
         if len < self.offset {
             return Err(bad(format!(
                 "shrank from {} to {len} bytes — not an append-only live log",
@@ -1089,10 +1098,7 @@ impl ManifestTail {
         let mut buf = Vec::with_capacity((len - self.offset) as usize);
         file.read_to_end(&mut buf)
             .map_err(|e| bad(format!("unreadable: {e}")))?;
-        let complete = buf
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |p| p + 1);
+        let complete = buf.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
         let text = std::str::from_utf8(&buf[..complete])
             .map_err(|_| bad("manifest is not UTF-8".to_owned()))?;
         let mut new_days = Vec::new();
@@ -1362,9 +1368,8 @@ impl<'a> LocationCache<'a> {
         if i >= self.strings.len() {
             return Err(format!("location string index {idx} out of range"));
         }
-        let entry = self.parsed[i].get_or_insert_with(|| {
-            self.strings[i].parse::<Location>().map_err(|_| ())
-        });
+        let entry = self.parsed[i]
+            .get_or_insert_with(|| self.strings[i].parse::<Location>().map_err(|_| ()));
         (*entry).map_err(|()| format!("bad location {:?}", self.strings[i]))
     }
 }
@@ -1500,24 +1505,22 @@ fn read_segment(table: &'static str, day: i64, root: &Path) -> SegmentOutcome {
             let count = c.u32s(7);
             let message = c.u32s(8);
             let msgs = intern_messages(&strings, &message);
-            let (r, n, f) = decode_rows(rows, |i| {
-                Ok(RasRecord {
-                    rec_id: RecId::new(rec_id[i]),
-                    msg_id: MsgId::new(msg_id[i]),
-                    severity: enum_decode(&Severity::ALL, severity[i], "severity")?,
-                    category: enum_decode(&Category::ALL, category[i], "category")?,
-                    component: enum_decode(&Component::ALL, component[i], "component")?,
-                    event_time: Timestamp::from_secs(event_time[i]),
-                    location: locs.get(location[i])?,
-                    count: count[i],
-                    message: msgs
-                        .get(message[i] as usize)
-                        .and_then(|m| *m)
-                        .ok_or_else(|| {
-                            format!("message string index {} out of range", message[i])
-                        })?,
-                })
-            });
+            let (r, n, f) =
+                decode_rows(rows, |i| {
+                    Ok(RasRecord {
+                        rec_id: RecId::new(rec_id[i]),
+                        msg_id: MsgId::new(msg_id[i]),
+                        severity: enum_decode(&Severity::ALL, severity[i], "severity")?,
+                        category: enum_decode(&Category::ALL, category[i], "category")?,
+                        component: enum_decode(&Component::ALL, component[i], "component")?,
+                        event_time: Timestamp::from_secs(event_time[i]),
+                        location: locs.get(location[i])?,
+                        count: count[i],
+                        message: msgs.get(message[i] as usize).and_then(|m| *m).ok_or_else(
+                            || format!("message string index {} out of range", message[i]),
+                        )?,
+                    })
+                });
             (DecodedRows::Ras(r), n, f)
         }
         "tasks" => {
@@ -2058,7 +2061,17 @@ mod tests {
         bytes[HEADER_LEN] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let err = read_dir(&root).unwrap_err();
-        assert!(matches!(err, SnapshotError::Segment { table: "jobs", day: 15804, .. }), "{err}");
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Segment {
+                    table: "jobs",
+                    day: 15804,
+                    ..
+                }
+            ),
+            "{err}"
+        );
         let opts = LoadOptions {
             degraded: true,
             ..LoadOptions::default()
@@ -2074,7 +2087,10 @@ mod tests {
         assert_eq!(q[0].day, 15804);
         assert_eq!(q[0].quarantined, Some(SegmentQuarantine::Checksum));
         // Table-level rollup still says "jobs loaded" (partial data).
-        assert_eq!(report.load.table("jobs").unwrap().status, TableStatus::Loaded);
+        assert_eq!(
+            report.load.table("jobs").unwrap().status,
+            TableStatus::Loaded
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -2235,7 +2251,11 @@ mod tests {
             assert_ne!(checksum(&b), h, "flip at {i} undetected");
         }
         assert_ne!(checksum(&base[..64]), h, "truncation undetected");
-        assert_ne!(checksum(&[0u8; 64]), checksum(&[0u8; 32]), "zero-extension undetected");
+        assert_ne!(
+            checksum(&[0u8; 64]),
+            checksum(&[0u8; 32]),
+            "zero-extension undetected"
+        );
     }
 
     #[test]
@@ -2349,7 +2369,10 @@ mod tests {
         let mut tail = ManifestTail::new(&root);
         tail.discover_new().unwrap();
         let mpath = root.join(MANIFEST_FILE);
-        let mut f = std::fs::OpenOptions::new().append(true).open(&mpath).unwrap();
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&mpath)
+            .unwrap();
         f.write_all(b"day 158").unwrap();
         f.flush().unwrap();
         // The torn line is invisible until its newline lands.
@@ -2371,7 +2394,10 @@ mod tests {
         // Out-of-order day.
         let mpath = root.join(MANIFEST_FILE);
         let clean = std::fs::read(&mpath).unwrap();
-        let mut f = std::fs::OpenOptions::new().append(true).open(&mpath).unwrap();
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&mpath)
+            .unwrap();
         f.write_all(b"day 15804\n").unwrap();
         drop(f);
         assert!(matches!(

@@ -422,11 +422,9 @@ impl Dataset {
     /// Sorts every table into its canonical order (jobs and tasks by start
     /// time then id, RAS by time then record id, I/O by job id).
     pub fn normalize(&mut self) {
-        self.jobs
-            .sort_by_key(|j| (j.started_at, j.job_id));
+        self.jobs.sort_by_key(|j| (j.started_at, j.job_id));
         self.ras.sort_by_key(|r| (r.event_time, r.rec_id));
-        self.tasks
-            .sort_by_key(|t| (t.started_at, t.task_id));
+        self.tasks.sort_by_key(|t| (t.started_at, t.task_id));
         self.io.sort_by_key(|r| r.job_id);
     }
 
@@ -459,11 +457,7 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns [`StoreError`] on any filesystem or encoding failure.
-    pub fn save_dir_with(
-        &self,
-        dir: &Path,
-        avail: &SourceAvailability,
-    ) -> Result<(), StoreError> {
+    pub fn save_dir_with(&self, dir: &Path, avail: &SourceAvailability) -> Result<(), StoreError> {
         std::fs::create_dir_all(dir).map_err(|source| StoreError::Io {
             path: dir.display().to_string(),
             source,
@@ -623,9 +617,7 @@ fn missing_header<R: Record>() -> SchemaError {
 }
 
 /// Resolves the [`ColumnMap`] from a scanned header record.
-fn resolve_header<R: Record>(
-    header: crate::csv::RecordView<'_>,
-) -> Result<ColumnMap, SchemaError> {
+fn resolve_header<R: Record>(header: crate::csv::RecordView<'_>) -> Result<ColumnMap, SchemaError> {
     let names: Vec<&str> = header.iter().collect();
     ColumnMap::resolve::<R>(&names)
 }
@@ -762,11 +754,7 @@ fn scan_table<R: Record>(source: &dyn TableSource) -> Result<ScanOutcome<R>, Sca
 
 /// Records a quarantined table: empty stats (plus whatever counts the
 /// failed scan produced), the reason, and the obs counter.
-fn push_quarantined(
-    report: &mut LoadReport,
-    mut stats: TableLoadStats,
-    reason: QuarantineReason,
-) {
+fn push_quarantined(report: &mut LoadReport, mut stats: TableLoadStats, reason: QuarantineReason) {
     stats.status = TableStatus::Quarantined(reason);
     bgq_obs::add_labeled("store.quarantined", stats.table, 1);
     bgq_obs::warn!("table {}: quarantined ({reason})", stats.table);
@@ -967,10 +955,8 @@ mod tests {
 
     /// Saves a small dataset, then corrupts one row of `jobs.csv`.
     fn corrupted_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-lenient-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bgq-logs-lenient-{tag}-{}", std::process::id()));
         let mut ds = Dataset::new();
         ds.jobs = vec![job(1, 100), job(2, 200), job(3, 300)];
         ds.ras = vec![ras(1, 50)];
@@ -1008,7 +994,10 @@ mod tests {
         assert_eq!(jobs_stats.table, "jobs");
         assert_eq!(jobs_stats.rejected_schema, 1);
         assert_eq!(jobs_stats.rejected_csv, 0);
-        assert_eq!(jobs_stats.first_schema_error.as_ref().unwrap().field, "nodes");
+        assert_eq!(
+            jobs_stats.first_schema_error.as_ref().unwrap().field,
+            "nodes"
+        );
         assert!((jobs_stats.reject_ratio() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(report.total_rejected(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1046,7 +1035,14 @@ mod tests {
         };
         let err = Dataset::load_dir_with(&dir, &opts).unwrap_err();
         assert!(
-            matches!(err, StoreError::RejectRatio { table: "jobs", rejected: 1, .. }),
+            matches!(
+                err,
+                StoreError::RejectRatio {
+                    table: "jobs",
+                    rejected: 1,
+                    ..
+                }
+            ),
             "one damaged row must trip a zero ceiling, got: {err}"
         );
         // Under degraded mode the same ceiling quarantines instead.
@@ -1101,10 +1097,8 @@ mod tests {
 
     #[test]
     fn missing_table_errors_strict_quarantines_degraded() {
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-missing-table-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bgq-logs-missing-table-{}", std::process::id()));
         let mut ds = Dataset::new();
         ds.jobs = vec![job(1, 100)];
         ds.ras = vec![ras(1, 50)];
@@ -1131,10 +1125,8 @@ mod tests {
 
     #[test]
     fn wrong_header_quarantines_as_header() {
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-wrong-header-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bgq-logs-wrong-header-{}", std::process::id()));
         let mut ds = Dataset::new();
         ds.jobs = vec![job(1, 100)];
         ds.normalize();
@@ -1195,18 +1187,14 @@ mod tests {
 
     #[test]
     fn transient_io_failure_is_retried_to_success() {
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-transient-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("bgq-logs-transient-{}", std::process::id()));
         let mut ds = Dataset::new();
         ds.jobs = vec![job(1, 100)];
         ds.ras = vec![ras(1, 50)];
         ds.normalize();
         ds.save_dir(&dir).unwrap();
         let source = FlakySource::new(&dir, 1);
-        let (loaded, report) =
-            Dataset::load_source_with(&source, &LoadOptions::default()).unwrap();
+        let (loaded, report) = Dataset::load_source_with(&source, &LoadOptions::default()).unwrap();
         assert_eq!(loaded, ds);
         for t in &report.tables {
             assert_eq!(t.status, TableStatus::Loaded);
@@ -1217,10 +1205,7 @@ mod tests {
 
     #[test]
     fn persistent_io_failure_quarantines_or_errors() {
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-persistent-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("bgq-logs-persistent-{}", std::process::id()));
         let mut ds = Dataset::new();
         ds.jobs = vec![job(1, 100)];
         ds.normalize();
@@ -1250,10 +1235,7 @@ mod tests {
         // so a dataset saved before normalization round-tripped in a
         // different order than one saved after, and order-sensitive
         // consumers (index fingerprints, golden manifests) diverged.
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-unsorted-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("bgq-logs-unsorted-{}", std::process::id()));
         let mut ds = Dataset::new();
         // Deliberately unsorted: later rows first.
         ds.jobs = vec![job(2, 200), job(1, 100)];
@@ -1276,10 +1258,8 @@ mod tests {
         // table as an empty-but-valid CSV, so a reload reports it
         // Loaded-with-0-rows and the quarantine provenance is lost.
         // `save_dir_with(availability)` keeps the absence on disk.
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-degraded-save-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bgq-logs-degraded-save-{}", std::process::id()));
         let mut ds = Dataset::new();
         ds.jobs = vec![job(1, 100)];
         ds.ras = vec![ras(1, 50)];
@@ -1308,7 +1288,10 @@ mod tests {
         degraded
             .save_dir_with(&kept, &report.availability())
             .unwrap();
-        assert!(!kept.join("ras.csv").exists(), "absent table is not written");
+        assert!(
+            !kept.join("ras.csv").exists(),
+            "absent table is not written"
+        );
         let (reloaded, rereport) = Dataset::load_dir_with(&kept, &opts).unwrap();
         assert_eq!(reloaded.jobs, degraded.jobs);
         assert_eq!(
@@ -1321,10 +1304,7 @@ mod tests {
 
     #[test]
     fn save_dir_with_removes_stale_files_of_absent_tables() {
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-stale-save-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("bgq-logs-stale-save-{}", std::process::id()));
         let mut ds = Dataset::new();
         ds.jobs = vec![job(1, 100)];
         ds.ras = vec![ras(1, 50)];
@@ -1345,10 +1325,8 @@ mod tests {
 
     #[test]
     fn lenient_load_on_clean_data_matches_strict() {
-        let dir = std::env::temp_dir().join(format!(
-            "bgq-logs-lenient-clean-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("bgq-logs-lenient-clean-{}", std::process::id()));
         let mut ds = Dataset::new();
         ds.jobs = vec![job(1, 100)];
         ds.ras = vec![ras(1, 50)];

@@ -208,8 +208,9 @@ impl Location {
     ///
     /// This is the coordinate system used by [`crate::block::Block`].
     pub fn midplane_linear(&self) -> Option<u16> {
-        self.midplane_index()
-            .map(|m| u16::from(self.rack) * Machine::MIRA.midplanes_per_rack() as u16 + u16::from(m))
+        self.midplane_index().map(|m| {
+            u16::from(self.rack) * Machine::MIRA.midplanes_per_rack() as u16 + u16::from(m)
+        })
     }
 
     /// `true` if `other` names hardware contained in (or equal to) the
@@ -314,7 +315,10 @@ impl FromStr for Location {
             .strip_prefix('R')
             .ok_or_else(|| ParseLocationError::new(s, "expected rack segment like R17"))?;
         if rack_digits.len() != 2 {
-            return Err(ParseLocationError::new(s, "rack segment must be R<row><col>"));
+            return Err(ParseLocationError::new(
+                s,
+                "rack segment must be R<row><col>",
+            ));
         }
         let row = rack_digits[0..1]
             .parse::<u8>()
@@ -328,7 +332,10 @@ impl FromStr for Location {
             .ok_or_else(|| ParseLocationError::new(s, "rack index out of range"))?;
         let mut loc = Location::rack(rack);
 
-        let expect = |prefix: char, max: usize, input: Option<&str>| -> Result<Option<u8>, ParseLocationError> {
+        let expect = |prefix: char,
+                      max: usize,
+                      input: Option<&str>|
+         -> Result<Option<u8>, ParseLocationError> {
             let Some(seg) = input else { return Ok(None) };
             let digits = seg
                 .strip_prefix(prefix)
@@ -392,7 +399,13 @@ mod tests {
 
     #[test]
     fn parse_all_granularities() {
-        for text in ["R00", "R2F-M1", "R17-M0-N15", "R17-M0-N08-J31", "R17-M0-N08-J23-C15"] {
+        for text in [
+            "R00",
+            "R2F-M1",
+            "R17-M0-N15",
+            "R17-M0-N08-J31",
+            "R17-M0-N08-J23-C15",
+        ] {
             let loc: Location = text.parse().unwrap();
             assert_eq!(loc.to_string(), text);
         }
@@ -411,7 +424,7 @@ mod tests {
             "R00-M0-N00-J32",
             "R00-M0-N00-J00-C16",
             "R00-M0-N00-J00-C00-X1",
-            "R00-N00",    // skipped level
+            "R00-N00", // skipped level
         ] {
             assert!(bad.parse::<Location>().is_err(), "accepted {bad:?}");
         }

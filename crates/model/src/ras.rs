@@ -270,7 +270,11 @@ pub struct ParseMsgIdError(String);
 
 impl fmt::Display for ParseMsgIdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid message id (expected 8 hex digits): {:?}", self.0)
+        write!(
+            f,
+            "invalid message id (expected 8 hex digits): {:?}",
+            self.0
+        )
     }
 }
 

@@ -366,12 +366,21 @@ mod tests {
 
     #[test]
     fn parse_epoch_seconds() {
-        assert_eq!("1365465600".parse::<Timestamp>().unwrap(), Timestamp::MIRA_EPOCH);
+        assert_eq!(
+            "1365465600".parse::<Timestamp>().unwrap(),
+            Timestamp::MIRA_EPOCH
+        );
     }
 
     #[test]
     fn parse_rejects_malformed() {
-        for bad in ["", "2015-07-16", "2015/07/16 03:04:05", "2015-13-16 03:04:05", "x"] {
+        for bad in [
+            "",
+            "2015-07-16",
+            "2015/07/16 03:04:05",
+            "2015-13-16 03:04:05",
+            "x",
+        ] {
             assert!(bad.parse::<Timestamp>().is_err(), "accepted {bad:?}");
         }
     }

@@ -35,7 +35,9 @@ static STATE: Mutex<State> = Mutex::new(State {
 fn locked() -> std::sync::MutexGuard<'static, State> {
     // A panic while holding the lock only poisons observability data;
     // keep collecting rather than cascading the panic.
-    STATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    STATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 pub(crate) fn record_span(name: &'static str, elapsed: Duration) {
@@ -104,11 +106,7 @@ pub(crate) fn snapshot() -> Snapshot {
             .iter()
             .map(|(&(n, ref l), &v)| ((n.to_owned(), l.clone()), v))
             .collect(),
-        spans: st
-            .spans
-            .iter()
-            .map(|(&n, &s)| (n.to_owned(), s))
-            .collect(),
+        spans: st.spans.iter().map(|(&n, &s)| (n.to_owned(), s)).collect(),
         hists: st
             .hists
             .iter()

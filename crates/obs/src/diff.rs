@@ -288,10 +288,8 @@ mod tests {
 
     fn manifest(wall_ns: u64, counters: &[(&str, &str, u64)]) -> RunManifest {
         let mut snap = Snapshot::default();
-        snap.spans.insert(
-            "analysis.run".into(),
-            SpanStat { calls: 1, wall_ns },
-        );
+        snap.spans
+            .insert("analysis.run".into(), SpanStat { calls: 1, wall_ns });
         for &(name, label, value) in counters {
             snap.counters.insert((name.into(), label.into()), value);
         }
@@ -366,7 +364,10 @@ mod tests {
         assert_eq!(violations[0].gate, "alloc");
         // Baseline without obs-alloc (no alloc counters): nothing gated.
         let no_alloc_base = manifest(1_000, &[]);
-        assert!(beyond.diff(&no_alloc_base).check(&Budgets::default()).is_empty());
+        assert!(beyond
+            .diff(&no_alloc_base)
+            .check(&Budgets::default())
+            .is_empty());
     }
 
     #[test]

@@ -59,7 +59,11 @@ mod tests {
     fn matches_known_fnv1a_vectors() {
         // Standard FNV-1a test vectors.
         let mut h = Fnv64::new();
-        assert_eq!(h.finish(), 0xcbf2_9ce4_8422_2325, "empty input = offset basis");
+        assert_eq!(
+            h.finish(),
+            0xcbf2_9ce4_8422_2325,
+            "empty input = offset basis"
+        );
         h.write_bytes(b"a");
         assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
         let mut h2 = Fnv64::new();

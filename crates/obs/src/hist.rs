@@ -281,7 +281,19 @@ mod tests {
         }
         assert!(last_idx.is_some());
         // And indexing round-trips: v lands in a bucket that contains it.
-        for v in [0, 1, 31, 32, 33, 100, 1023, 1024, 1_000_000, u64::MAX / 2, u64::MAX] {
+        for v in [
+            0,
+            1,
+            31,
+            32,
+            33,
+            100,
+            1023,
+            1024,
+            1_000_000,
+            u64::MAX / 2,
+            u64::MAX,
+        ] {
             let (lo, hi) = bucket_bounds(bucket_index(v));
             assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
         }

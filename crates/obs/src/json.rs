@@ -145,11 +145,7 @@ impl JsonValue {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(members) => members
-                .iter()
-                .rev()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v),
+            JsonValue::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -393,7 +389,8 @@ impl Parser<'_> {
         else {
             return self.err("truncated \\u escape");
         };
-        let code = u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape at {start}"))?;
+        let code =
+            u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape at {start}"))?;
         self.pos += 4;
         Ok(code)
     }

@@ -253,7 +253,8 @@ mod tests {
 
     #[cfg(feature = "obs")]
     fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -281,7 +282,10 @@ mod tests {
         time("test.span.timed", || std::hint::black_box(1 + 1));
         let delta = snapshot().since(&before);
         assert_eq!(delta.spans["test.span.outer"].calls, 1);
-        assert!(delta.span_wall_ns("test.span.outer") > 0, "wall time clamps to ≥ 1 ns");
+        assert!(
+            delta.span_wall_ns("test.span.outer") > 0,
+            "wall time clamps to ≥ 1 ns"
+        );
         assert!(delta.span_wall_ns("test.span.timed") > 0);
     }
 

@@ -148,10 +148,7 @@ impl RunManifest {
                 .get("name")
                 .and_then(JsonValue::as_str)
                 .ok_or("manifest entry missing \"name\"")?;
-            let label = entry
-                .get("label")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("");
+            let label = entry.get("label").and_then(JsonValue::as_str).unwrap_or("");
             Ok((name.to_owned(), label.to_owned()))
         }
         fn field(entry: &JsonValue, key: &str) -> Result<u64, String> {
@@ -185,7 +182,10 @@ impl RunManifest {
         }
         for counter in root.get("counters").map(JsonValue::items).unwrap_or(&[]) {
             let key = name_label(counter)?;
-            manifest.snapshot.counters.insert(key, field(counter, "value")?);
+            manifest
+                .snapshot
+                .counters
+                .insert(key, field(counter, "value")?);
         }
         for gauge in root.get("gauges").map(JsonValue::items).unwrap_or(&[]) {
             let key = name_label(gauge)?;
@@ -200,7 +200,8 @@ impl RunManifest {
                 .iter()
                 .map(|b| {
                     let i = field(b, "i")?;
-                    let i = u16::try_from(i).map_err(|_| format!("bucket index {i} out of range"))?;
+                    let i =
+                        u16::try_from(i).map_err(|_| format!("bucket index {i} out of range"))?;
                     Ok((i, field(b, "n")?))
                 })
                 .collect::<Result<Vec<_>, String>>()?;
@@ -330,8 +331,7 @@ mod tests {
         );
         snap.counters
             .insert(("filter.funnel".into(), "raw_fatal".into()), 128);
-        snap.gauges
-            .insert(("run.threads".into(), String::new()), 8);
+        snap.gauges.insert(("run.threads".into(), String::new()), 8);
         RunManifest::new(snap)
             .with_meta("command", "profile --days 30")
             .with_meta("features", "obs,parallel")
@@ -341,7 +341,9 @@ mod tests {
     fn json_has_all_sections() {
         let json = sample().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains(r#""meta":{"command":"profile --days 30","features":"obs,parallel"}"#));
+        assert!(
+            json.contains(r#""meta":{"command":"profile --days 30","features":"obs,parallel"}"#)
+        );
         assert!(json.contains(r#""name":"analysis.run","calls":1,"wall_ns":2500000"#));
         assert!(json.contains(r#""name":"filter.funnel","label":"raw_fatal","value":128"#));
         assert!(json.contains(r#""name":"run.threads","value":8"#));
@@ -384,7 +386,9 @@ mod tests {
         for v in [3u64, 700, 700, 65_536] {
             h.record(v);
         }
-        m.snapshot.hists.insert(("store.row_bytes".into(), "jobs".into()), h);
+        m.snapshot
+            .hists
+            .insert(("store.row_bytes".into(), "jobs".into()), h);
         let mut dur = Histogram::new();
         dur.record(2_500_000);
         m.snapshot.span_ns.insert("analysis.run".into(), dur);

@@ -159,9 +159,7 @@ mod tests {
     #[test]
     fn since_subtracts_and_drops_empty() {
         let mut early = Snapshot::default();
-        early
-            .counters
-            .insert(("a".into(), String::new()), 5);
+        early.counters.insert(("a".into(), String::new()), 5);
         early.spans.insert(
             "s".into(),
             SpanStat {
@@ -180,7 +178,10 @@ mod tests {
         assert_eq!(d.counter("a", ""), 4);
         assert_eq!(d.counter("b", "x"), 3);
         assert_eq!(d.gauges[&("g".to_owned(), String::new())], 7);
-        assert!(d.spans.is_empty(), "unchanged span must drop out of the diff");
+        assert!(
+            d.spans.is_empty(),
+            "unchanged span must drop out of the diff"
+        );
         assert_eq!(d.counter_total("a") + d.counter_total("b"), 7);
     }
 
@@ -189,16 +190,25 @@ mod tests {
         let mut early = Snapshot::default();
         let mut h = Histogram::new();
         h.record(10);
-        early.hists.insert(("rows".into(), "jobs".into()), h.clone());
+        early
+            .hists
+            .insert(("rows".into(), "jobs".into()), h.clone());
         early.span_ns.insert("stage".into(), h.clone());
         let mut late = early.clone();
-        late.hists.get_mut(&("rows".to_owned(), "jobs".to_owned())).unwrap().record(500);
-        late.hists.insert(("fresh".into(), String::new()), h.clone());
+        late.hists
+            .get_mut(&("rows".to_owned(), "jobs".to_owned()))
+            .unwrap()
+            .record(500);
+        late.hists
+            .insert(("fresh".into(), String::new()), h.clone());
         let d = late.since(&early);
         let rows = d.hist("rows", "jobs").expect("changed hist kept");
         assert_eq!((rows.count(), rows.sum()), (1, 500));
         assert_eq!(d.hist("fresh", "").unwrap().count(), 1);
-        assert!(d.span_hist("stage").is_none(), "unchanged span hist must drop out");
+        assert!(
+            d.span_hist("stage").is_none(),
+            "unchanged span hist must drop out"
+        );
         assert!(!d.is_empty());
     }
 

@@ -218,7 +218,8 @@ mod tests {
     static LOCK: Mutex<()> = Mutex::new(());
 
     fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -294,7 +295,11 @@ mod tests {
             .collect();
         assert_eq!(ours.len(), 6, "3 workers × B+E: {ours:?}");
         // Each worker's events nest on its own tid.
-        for tid in ours.iter().map(|e| e.tid).collect::<std::collections::BTreeSet<_>>() {
+        for tid in ours
+            .iter()
+            .map(|e| e.tid)
+            .collect::<std::collections::BTreeSet<_>>()
+        {
             let phases: Vec<Phase> = ours
                 .iter()
                 .filter(|e| e.tid == tid)
@@ -325,8 +330,13 @@ mod tests {
         let json = to_chrome_json(&events);
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
-        assert!(json.contains(r#""name":"a.b","cat":"stage","ph":"B","pid":1,"tid":0,"ts":1234.567"#));
+        assert!(
+            json.contains(r#""name":"a.b","cat":"stage","ph":"B","pid":1,"tid":0,"ts":1234.567"#)
+        );
         assert!(json.contains(r#""ph":"E","pid":1,"tid":0,"ts":2000.001"#));
-        assert_eq!(to_chrome_json(&[]), r#"{"displayTimeUnit":"ms","traceEvents":[]}"#);
+        assert_eq!(
+            to_chrome_json(&[]),
+            r#"{"displayTimeUnit":"ms","traceEvents":[]}"#
+        );
     }
 }

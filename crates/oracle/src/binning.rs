@@ -21,7 +21,13 @@
 pub fn linear_edges(lo: f64, hi: f64, bins: usize) -> Vec<f64> {
     assert!(bins > 0 && lo < hi, "invalid linear layout");
     (0..=bins)
-        .map(|i| if i == bins { hi } else { lo + (hi - lo) * (i as f64 / bins as f64) })
+        .map(|i| {
+            if i == bins {
+                hi
+            } else {
+                lo + (hi - lo) * (i as f64 / bins as f64)
+            }
+        })
         .collect()
 }
 
@@ -138,7 +144,10 @@ mod tests {
         assert_eq!(bin_by_linear_search(&edges, 3.0), RefBin::Over);
         assert_eq!(bin_by_linear_search(&edges, f64::NAN), RefBin::Over);
         assert_eq!(bin_by_linear_search(&edges, f64::INFINITY), RefBin::Over);
-        assert_eq!(bin_by_linear_search(&edges, f64::NEG_INFINITY), RefBin::Under);
+        assert_eq!(
+            bin_by_linear_search(&edges, f64::NEG_INFINITY),
+            RefBin::Under
+        );
     }
 
     #[test]

@@ -291,7 +291,10 @@ mod tests {
             let case = generate(seed);
             nan |= case.samples.iter().any(|v| v.is_nan());
             zero_dur |= case.jobs.iter().any(|j| j.started_at == j.ended_at);
-            pre_origin |= case.events.iter().any(|e| e.event_time < Timestamp::from_secs(0));
+            pre_origin |= case
+                .events
+                .iter()
+                .any(|e| e.event_time < Timestamp::from_secs(0));
             inverted |= case.intervals.iter().any(|(s, e)| e < s);
             let ids: Vec<u64> = case.lineage_jobs.iter().map(|j| j.job_id.raw()).collect();
             for j in &case.lineage_jobs {

@@ -114,7 +114,12 @@ mod tests {
     use bgq_model::Block;
 
     fn linked(id: u64, parent: Option<u64>, exit: i32) -> JobRecord {
-        let mut j = test_job(id, id as i64 * 100, id as i64 * 100 + 50, Block::new(0, 1).unwrap());
+        let mut j = test_job(
+            id,
+            id as i64 * 100,
+            id as i64 * 100 + 50,
+            Block::new(0, 1).unwrap(),
+        );
         j.resubmit_of = parent.map(JobId::new);
         j.exit_code = exit;
         j
@@ -157,9 +162,9 @@ mod tests {
             .collect();
         let rows = per_user_scan(&jobs);
         assert_eq!(rows.iter().map(|r| r.jobs).sum::<usize>(), 9);
-        assert!(rows.windows(2).all(|w| {
-            w[0].jobs > w[1].jobs || (w[0].jobs == w[1].jobs && w[0].id < w[1].id)
-        }));
+        assert!(rows
+            .windows(2)
+            .all(|w| { w[0].jobs > w[1].jobs || (w[0].jobs == w[1].jobs && w[0].id < w[1].id) }));
     }
 
     #[test]

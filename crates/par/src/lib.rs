@@ -115,10 +115,7 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 }
 
 /// Like [`par_map`], but `f` also receives the item's index.
-pub fn par_map_indexed<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
+pub fn par_map_indexed<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
     let workers = workers_for(items.len());
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
@@ -301,7 +298,13 @@ mod tests {
         let got = par_chunk_fold(
             &items,
             Vec::new,
-            |_base, slice| slice.iter().filter(|&&x| x % 7 == 0).copied().collect::<Vec<_>>(),
+            |_base, slice| {
+                slice
+                    .iter()
+                    .filter(|&&x| x % 7 == 0)
+                    .copied()
+                    .collect::<Vec<_>>()
+            },
             |mut a, b| {
                 a.extend(b);
                 a

@@ -121,8 +121,7 @@ impl Epoch {
         TABLES
             .into_iter()
             .filter(|t| {
-                !self.availability.available(t)
-                    || self.quarantined.iter().any(|q| q.table == *t)
+                !self.availability.available(t) || self.quarantined.iter().any(|q| q.table == *t)
             })
             .collect()
     }

@@ -106,11 +106,10 @@ pub fn parse_query(line: &str) -> Result<Query, String> {
             Query::Affected(parse_severity(tok)?)
         }
         "TOPK" => {
-            let k = parts.next().ok_or_else(|| "TOPK needs a count".to_owned())?;
-            Query::TopK(
-                k.parse::<usize>()
-                    .map_err(|_| format!("bad count {k:?}"))?,
-            )
+            let k = parts
+                .next()
+                .ok_or_else(|| "TOPK needs a count".to_owned())?;
+            Query::TopK(k.parse::<usize>().map_err(|_| format!("bad count {k:?}"))?)
         }
         "STATS" => Query::Stats,
         other => return Err(format!("unknown command {other:?}")),
@@ -271,8 +270,20 @@ mod tests {
     #[test]
     fn rejects_malformed_lines_with_reasons() {
         for bad in [
-            "", "  ", "user 1", "USER", "USER x", "USER -1", "MTTI loud", "AFFECTED",
-            "AFFECTED 3", "TOPK", "TOPK -2", "TOPK 1 2", "STATS now", "NOPE",
+            "",
+            "  ",
+            "user 1",
+            "USER",
+            "USER x",
+            "USER -1",
+            "MTTI loud",
+            "AFFECTED",
+            "AFFECTED 3",
+            "TOPK",
+            "TOPK -2",
+            "TOPK 1 2",
+            "STATS now",
+            "NOPE",
         ] {
             assert!(parse_query(bad).is_err(), "{bad:?} should not parse");
         }

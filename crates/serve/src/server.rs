@@ -224,8 +224,7 @@ pub fn serve_connection(mut stream: TcpStream, store: &EpochStore, stop: &Atomic
             Ok(0) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if stop.load(Ordering::Relaxed) {
                     break;

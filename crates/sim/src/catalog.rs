@@ -130,86 +130,216 @@ const fn entry(
 /// them. Message-id families share the high 16 bits so the similarity
 /// filter's msg-id heuristic has something real to work with.
 pub const FATAL_DDR: [CatalogEntry; 3] = [
-    entry(0x0008_0001, Severity::Fatal, Category::Ddr, Component::Mc,
-          "DDR arbiter detected an uncorrectable error on rank {}"),
-    entry(0x0008_0002, Severity::Fatal, Category::Ddr, Component::Mc,
-          "DDR controller chipkill fail on bank {}"),
-    entry(0x0008_0003, Severity::Fatal, Category::Ddr, Component::Firmware,
-          "memory controller initialization failure, retry count {}"),
+    entry(
+        0x0008_0001,
+        Severity::Fatal,
+        Category::Ddr,
+        Component::Mc,
+        "DDR arbiter detected an uncorrectable error on rank {}",
+    ),
+    entry(
+        0x0008_0002,
+        Severity::Fatal,
+        Category::Ddr,
+        Component::Mc,
+        "DDR controller chipkill fail on bank {}",
+    ),
+    entry(
+        0x0008_0003,
+        Severity::Fatal,
+        Category::Ddr,
+        Component::Firmware,
+        "memory controller initialization failure, retry count {}",
+    ),
 ];
 
 /// Fatal compute-chip messages.
 pub const FATAL_BQC: [CatalogEntry; 3] = [
-    entry(0x0004_0001, Severity::Fatal, Category::BqcChip, Component::Mc,
-          "BQC L2 array uncorrectable ECC error at index {}"),
-    entry(0x0004_0002, Severity::Fatal, Category::BqcChip, Component::Firmware,
-          "BQC core {} machine check, thread state lost"),
-    entry(0x0004_0003, Severity::Fatal, Category::BqcChip, Component::Diags,
-          "processor clock domain {} failed consistency check"),
+    entry(
+        0x0004_0001,
+        Severity::Fatal,
+        Category::BqcChip,
+        Component::Mc,
+        "BQC L2 array uncorrectable ECC error at index {}",
+    ),
+    entry(
+        0x0004_0002,
+        Severity::Fatal,
+        Category::BqcChip,
+        Component::Firmware,
+        "BQC core {} machine check, thread state lost",
+    ),
+    entry(
+        0x0004_0003,
+        Severity::Fatal,
+        Category::BqcChip,
+        Component::Diags,
+        "processor clock domain {} failed consistency check",
+    ),
 ];
 
 /// Fatal torus/link messages.
 pub const FATAL_LINK: [CatalogEntry; 3] = [
-    entry(0x0010_0001, Severity::Fatal, Category::BqlLink, Component::Mudm,
-          "torus receiver link {} retrain limit exceeded"),
-    entry(0x0010_0002, Severity::Fatal, Category::BqlLink, Component::Mc,
-          "BQL optical module {} loss of signal"),
-    entry(0x0010_0003, Severity::Fatal, Category::BqlLink, Component::Firmware,
-          "sender retransmission queue overflow on port {}"),
+    entry(
+        0x0010_0001,
+        Severity::Fatal,
+        Category::BqlLink,
+        Component::Mudm,
+        "torus receiver link {} retrain limit exceeded",
+    ),
+    entry(
+        0x0010_0002,
+        Severity::Fatal,
+        Category::BqlLink,
+        Component::Mc,
+        "BQL optical module {} loss of signal",
+    ),
+    entry(
+        0x0010_0003,
+        Severity::Fatal,
+        Category::BqlLink,
+        Component::Firmware,
+        "sender retransmission queue overflow on port {}",
+    ),
 ];
 
 /// Fatal facility-level (rack) messages.
 pub const FATAL_FACILITY: [CatalogEntry; 3] = [
-    entry(0x0020_0001, Severity::Fatal, Category::CoolantMonitor, Component::Mc,
-          "coolant flow below threshold, valve {}"),
-    entry(0x0020_0002, Severity::Fatal, Category::AcToDcPower, Component::Mc,
-          "bulk power module {} shutdown on overcurrent"),
-    entry(0x0020_0003, Severity::Fatal, Category::DcToDcPower, Component::Mc,
-          "domain {} voltage droop beyond limit"),
+    entry(
+        0x0020_0001,
+        Severity::Fatal,
+        Category::CoolantMonitor,
+        Component::Mc,
+        "coolant flow below threshold, valve {}",
+    ),
+    entry(
+        0x0020_0002,
+        Severity::Fatal,
+        Category::AcToDcPower,
+        Component::Mc,
+        "bulk power module {} shutdown on overcurrent",
+    ),
+    entry(
+        0x0020_0003,
+        Severity::Fatal,
+        Category::DcToDcPower,
+        Component::Mc,
+        "domain {} voltage droop beyond limit",
+    ),
 ];
 
 /// Warning messages used both as incident precursors and as background.
 pub const WARN_HARDWARE: [CatalogEntry; 4] = [
-    entry(0x0008_1001, Severity::Warn, Category::Ddr, Component::Mc,
-          "DDR correctable error threshold reached on rank {}"),
-    entry(0x0004_1001, Severity::Warn, Category::BqcChip, Component::Mc,
-          "BQC L1P correctable parity event count {}"),
-    entry(0x0010_1001, Severity::Warn, Category::BqlLink, Component::Mudm,
-          "link {} CRC retry rate elevated"),
-    entry(0x0020_1001, Severity::Warn, Category::CoolantMonitor, Component::Mc,
-          "coolant temperature rising, sensor {}"),
+    entry(
+        0x0008_1001,
+        Severity::Warn,
+        Category::Ddr,
+        Component::Mc,
+        "DDR correctable error threshold reached on rank {}",
+    ),
+    entry(
+        0x0004_1001,
+        Severity::Warn,
+        Category::BqcChip,
+        Component::Mc,
+        "BQC L1P correctable parity event count {}",
+    ),
+    entry(
+        0x0010_1001,
+        Severity::Warn,
+        Category::BqlLink,
+        Component::Mudm,
+        "link {} CRC retry rate elevated",
+    ),
+    entry(
+        0x0020_1001,
+        Severity::Warn,
+        Category::CoolantMonitor,
+        Component::Mc,
+        "coolant temperature rising, sensor {}",
+    ),
 ];
 
 /// Informational background messages.
 pub const INFO_BACKGROUND: [CatalogEntry; 4] = [
-    entry(0x0001_0001, Severity::Info, Category::Card, Component::Mc,
-          "service card {} environmental poll ok"),
-    entry(0x0001_0002, Severity::Info, Category::Ethernet, Component::Linux,
-          "I/O node {} network statistics rollover"),
-    entry(0x0001_0003, Severity::Info, Category::Infiniband, Component::Linux,
-          "IB port {} counters sampled"),
-    entry(0x0001_0004, Severity::Info, Category::SoftwareError, Component::Mmcs,
-          "block status poll {} complete"),
+    entry(
+        0x0001_0001,
+        Severity::Info,
+        Category::Card,
+        Component::Mc,
+        "service card {} environmental poll ok",
+    ),
+    entry(
+        0x0001_0002,
+        Severity::Info,
+        Category::Ethernet,
+        Component::Linux,
+        "I/O node {} network statistics rollover",
+    ),
+    entry(
+        0x0001_0003,
+        Severity::Info,
+        Category::Infiniband,
+        Component::Linux,
+        "IB port {} counters sampled",
+    ),
+    entry(
+        0x0001_0004,
+        Severity::Info,
+        Category::SoftwareError,
+        Component::Mmcs,
+        "block status poll {} complete",
+    ),
 ];
 
 /// Job-lifecycle messages emitted by the compute-node kernel.
 pub const INFO_JOB: [CatalogEntry; 3] = [
-    entry(0x0002_0001, Severity::Info, Category::Process, Component::Cnk,
-          "job step {} started on block"),
-    entry(0x0002_0002, Severity::Info, Category::Process, Component::Cnk,
-          "collective {} completed"),
-    entry(0x0002_0003, Severity::Info, Category::SoftwareError, Component::Mmcs,
-          "boot sequence {} finished"),
+    entry(
+        0x0002_0001,
+        Severity::Info,
+        Category::Process,
+        Component::Cnk,
+        "job step {} started on block",
+    ),
+    entry(
+        0x0002_0002,
+        Severity::Info,
+        Category::Process,
+        Component::Cnk,
+        "collective {} completed",
+    ),
+    entry(
+        0x0002_0003,
+        Severity::Info,
+        Category::SoftwareError,
+        Component::Mmcs,
+        "boot sequence {} finished",
+    ),
 ];
 
 /// Diagnostics emitted when a user process dies abnormally.
 pub const WARN_PROCESS: [CatalogEntry; 3] = [
-    entry(0x0002_1001, Severity::Warn, Category::Process, Component::Cnk,
-          "process terminated with signal {}"),
-    entry(0x0002_1002, Severity::Warn, Category::Process, Component::Cnk,
-          "rank {} exited before barrier completion"),
-    entry(0x0002_1003, Severity::Warn, Category::SoftwareError, Component::Mmcs,
-          "runjob {} cleanup after abnormal exit"),
+    entry(
+        0x0002_1001,
+        Severity::Warn,
+        Category::Process,
+        Component::Cnk,
+        "process terminated with signal {}",
+    ),
+    entry(
+        0x0002_1002,
+        Severity::Warn,
+        Category::Process,
+        Component::Cnk,
+        "rank {} exited before barrier completion",
+    ),
+    entry(
+        0x0002_1003,
+        Severity::Warn,
+        Category::SoftwareError,
+        Component::Mmcs,
+        "runjob {} cleanup after abnormal exit",
+    ),
 ];
 
 #[cfg(test)]
@@ -254,7 +384,12 @@ mod tests {
 
     #[test]
     fn catalog_severities_match_their_tables() {
-        for e in FATAL_DDR.iter().chain(&FATAL_BQC).chain(&FATAL_LINK).chain(&FATAL_FACILITY) {
+        for e in FATAL_DDR
+            .iter()
+            .chain(&FATAL_BQC)
+            .chain(&FATAL_LINK)
+            .chain(&FATAL_FACILITY)
+        {
             assert_eq!(e.severity, Severity::Fatal);
             assert!(e.template.contains("{}"));
         }

@@ -241,19 +241,73 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_fields() {
-        assert!(SimConfig { days: 0, ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { n_users: 0, ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { n_projects: 500, n_users: 10, ..SimConfig::small(1) }
-            .validate()
-            .is_err());
-        assert!(SimConfig { jobs_per_day: 0.0, ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { size_weights: vec![], ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { lemon_bias: 1.5, ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { early_life_factor: 0.5, ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { io_coverage: -0.1, ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { retry_prob: 1.5, ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { retry_decay: -0.1, ..SimConfig::small(1) }.validate().is_err());
-        assert!(SimConfig { retry_gap_mean_s: 0.0, ..SimConfig::small(1) }.validate().is_err());
+        assert!(SimConfig {
+            days: 0,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            n_users: 0,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            n_projects: 500,
+            n_users: 10,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            jobs_per_day: 0.0,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            size_weights: vec![],
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            lemon_bias: 1.5,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            early_life_factor: 0.5,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            io_coverage: -0.1,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            retry_prob: 1.5,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            retry_decay: -0.1,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
+        assert!(SimConfig {
+            retry_gap_mean_s: 0.0,
+            ..SimConfig::small(1)
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub use config::SimConfig;
 pub use incidents::Incident;
 pub use live::LiveEmitter;
 pub use sim::{generate, generate_to_snapshot, SimOutput};
-pub use userscale::generate_jobs_only;
 pub use truth::GroundTruth;
+pub use userscale::generate_jobs_only;

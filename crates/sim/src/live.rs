@@ -102,9 +102,7 @@ impl LiveEmitter {
     /// # Errors
     ///
     /// Returns [`SnapshotError`] on any filesystem failure.
-    pub fn emit_next_day(
-        &mut self,
-    ) -> Result<Option<(i64, SnapshotWriteStats)>, SnapshotError> {
+    pub fn emit_next_day(&mut self) -> Result<Option<(i64, SnapshotWriteStats)>, SnapshotError> {
         let Some(part) = self.parts.get(self.next) else {
             return Ok(None);
         };

@@ -19,9 +19,7 @@ use bgq_model::{Location, Machine, Span, Timestamp};
 use bgq_stats::dist::Dist;
 use rand::Rng;
 
-use crate::catalog::{
-    CatalogEntry, INFO_BACKGROUND, INFO_JOB, WARN_HARDWARE, WARN_PROCESS,
-};
+use crate::catalog::{CatalogEntry, INFO_BACKGROUND, INFO_JOB, WARN_HARDWARE, WARN_PROCESS};
 use crate::config::SimConfig;
 use crate::incidents::Incident;
 use crate::scheduler::ScheduledJob;
@@ -80,7 +78,11 @@ fn refine<R: Rng + ?Sized>(root: &Location, machine: &Machine, rng: &mut R) -> L
             if rng.gen::<f64>() < 0.4 {
                 Location::midplane(rack, mid)
             } else {
-                Location::node_board(rack, mid, rng.gen_range(0..machine.boards_per_midplane()) as u8)
+                Location::node_board(
+                    rack,
+                    mid,
+                    rng.gen_range(0..machine.boards_per_midplane()) as u8,
+                )
             }
         }
         bgq_model::Granularity::Midplane => {
@@ -88,7 +90,11 @@ fn refine<R: Rng + ?Sized>(root: &Location, machine: &Machine, rng: &mut R) -> L
             if rng.gen::<f64>() < 0.3 {
                 *root
             } else {
-                Location::node_board(rack, mid, rng.gen_range(0..machine.boards_per_midplane()) as u8)
+                Location::node_board(
+                    rack,
+                    mid,
+                    rng.gen_range(0..machine.boards_per_midplane()) as u8,
+                )
             }
         }
         _ => {
@@ -96,7 +102,12 @@ fn refine<R: Rng + ?Sized>(root: &Location, machine: &Machine, rng: &mut R) -> L
             let board = root.board_index().expect("board granularity or finer");
             match rng.gen_range(0..3) {
                 0 => *root,
-                1 => Location::compute_card(rack, mid, board, rng.gen_range(0..machine.cards_per_board()) as u8),
+                1 => Location::compute_card(
+                    rack,
+                    mid,
+                    board,
+                    rng.gen_range(0..machine.cards_per_board()) as u8,
+                ),
                 _ => Location::core(
                     rack,
                     mid,
@@ -119,7 +130,12 @@ fn random_location<R: Rng + ?Sized>(machine: &Machine, rng: &mut R) -> Location 
         0 => Location::rack(rack),
         1 => Location::midplane(rack, mid),
         2 => Location::node_board(rack, mid, board),
-        _ => Location::compute_card(rack, mid, board, rng.gen_range(0..machine.cards_per_board()) as u8),
+        _ => Location::compute_card(
+            rack,
+            mid,
+            board,
+            rng.gen_range(0..machine.cards_per_board()) as u8,
+        ),
     }
 }
 
@@ -137,7 +153,12 @@ fn location_in_block<R: Rng + ?Sized>(
     if rng.gen::<f64>() < 0.5 {
         Location::node_board(rack, m, board)
     } else {
-        Location::compute_card(rack, m, board, rng.gen_range(0..machine.cards_per_board()) as u8)
+        Location::compute_card(
+            rack,
+            m,
+            board,
+            rng.gen_range(0..machine.cards_per_board()) as u8,
+        )
     }
 }
 
@@ -327,7 +348,10 @@ mod tests {
         let mut out = Vec::new();
         storm_records(&cfg, &inc, &mut rng, &mut out);
         assert!(!out.is_empty());
-        let fatals: Vec<_> = out.iter().filter(|r| r.severity == Severity::Fatal).collect();
+        let fatals: Vec<_> = out
+            .iter()
+            .filter(|r| r.severity == Severity::Fatal)
+            .collect();
         assert!(!fatals.is_empty());
         // First fatal is at the incident time and root.
         assert_eq!(fatals[0].event_time, inc.time);
@@ -356,7 +380,9 @@ mod tests {
         job_records(&cfg, &job, &mut rng, &mut out);
         for r in &out {
             assert!(job.block.contains(&r.location), "event off-block");
-            assert!(r.event_time >= job.started_at && r.event_time < job.ended_at + Span::from_secs(31));
+            assert!(
+                r.event_time >= job.started_at && r.event_time < job.ended_at + Span::from_secs(31)
+            );
         }
     }
 
@@ -382,7 +408,10 @@ mod tests {
         background_records(&cfg, &mut rng, &mut out);
         let expected = (cfg.background_info_per_day + cfg.background_warn_per_day) * 30.0;
         let got = out.len() as f64;
-        assert!((got - expected).abs() < expected * 0.1, "got {got}, want ≈ {expected}");
+        assert!(
+            (got - expected).abs() < expected * 0.1,
+            "got {got}, want ≈ {expected}"
+        );
         assert!(out.iter().all(|r| r.severity != Severity::Fatal));
     }
 
@@ -393,7 +422,10 @@ mod tests {
             let n = 3_000;
             let total: f64 = (0..n).map(|_| f64::from(poisson(&mut rng, mean))).sum();
             let got = total / n as f64;
-            assert!((got - mean).abs() < mean * 0.1 + 0.1, "mean {mean}: got {got}");
+            assert!(
+                (got - mean).abs() < mean * 0.1 + 0.1,
+                "mean {mean}: got {got}"
+            );
         }
         assert_eq!(poisson(&mut rng, 0.0), 0);
     }

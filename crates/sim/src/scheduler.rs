@@ -18,7 +18,6 @@ use crate::config::SimConfig;
 use crate::incidents::Incident;
 use crate::workload::{JobSpec, PlannedOutcome};
 
-
 /// A job after scheduling and execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledJob {
@@ -97,7 +96,14 @@ pub fn run_schedule(
 
         // Start whatever fits.
         try_start(
-            config, specs, incidents, now, &mut free, &mut pending, &mut finishes, &mut out,
+            config,
+            specs,
+            incidents,
+            now,
+            &mut free,
+            &mut pending,
+            &mut finishes,
+            &mut out,
         );
     }
 
@@ -119,11 +125,11 @@ fn try_start(
     out: &mut Vec<ScheduledJob>,
 ) {
     let start_job = |spec_idx: usize,
-                         start: usize,
-                         want: usize,
-                         free: &mut [bool],
-                         finishes: &mut BinaryHeap<Reverse<(Timestamp, usize, Block)>>,
-                         out: &mut Vec<ScheduledJob>| {
+                     start: usize,
+                     want: usize,
+                     free: &mut [bool],
+                     finishes: &mut BinaryHeap<Reverse<(Timestamp, usize, Block)>>,
+                     out: &mut Vec<ScheduledJob>| {
         for slot in free.iter_mut().skip(start).take(want) {
             *slot = false;
         }
@@ -180,10 +186,8 @@ fn compute_shadow(
     want: usize,
 ) -> Timestamp {
     let mut scratch = free.to_vec();
-    let mut events: Vec<(Timestamp, Block)> = finishes
-        .iter()
-        .map(|Reverse((t, _, b))| (*t, *b))
-        .collect();
+    let mut events: Vec<(Timestamp, Block)> =
+        finishes.iter().map(|Reverse((t, _, b))| (*t, *b)).collect();
     events.sort_by_key(|&(t, _)| t);
     for (t, block) in events {
         for m in block.start()..block.end() {
@@ -326,9 +330,9 @@ mod tests {
             ..tiny_config(10)
         };
         let specs = vec![
-            spec(0, 90, 5_000),  // occupies most of the machine
-            spec(10, 96, 100),   // blocked (needs everything)
-            spec(20, 2, 100),    // can backfill into the 6 free midplanes
+            spec(0, 90, 5_000), // occupies most of the machine
+            spec(10, 96, 100),  // blocked (needs everything)
+            spec(20, 2, 100),   // can backfill into the 6 free midplanes
         ];
         let jobs = run_schedule(&cfg, &specs, &[]);
         let small = jobs.iter().find(|j| j.spec.midplanes == 2).unwrap();

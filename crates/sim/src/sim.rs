@@ -82,7 +82,9 @@ pub fn generate(config: &SimConfig) -> SimOutput {
     bgq_obs::time("sim.emit_jobs", || {
         for job in &scheduled {
             let job_id = JobId::new(job.spec_idx as u64 + 1);
-            dataset.jobs.push(to_job_record(job_id, job, &population, &seq_to_id));
+            dataset
+                .jobs
+                .push(to_job_record(job_id, job, &population, &seq_to_id));
             emit_tasks(job_id, job, &mut next_task_id, &mut rng, &mut dataset.tasks);
             if let Some(rec) = io_record(config, job_id, job, &mut rng) {
                 dataset.io.push(rec);
@@ -253,8 +255,7 @@ mod tests {
     #[test]
     fn generate_to_snapshot_round_trips() {
         let dir = std::env::temp_dir().join(format!("bgq-sim-snap-{}", std::process::id()));
-        let (out, stats) =
-            generate_to_snapshot(&SimConfig::small(4).with_seed(8), &dir).unwrap();
+        let (out, stats) = generate_to_snapshot(&SimConfig::small(4).with_seed(8), &dir).unwrap();
         assert!(stats.days > 0 && stats.segments == stats.days * 4);
         let (loaded, parts) = bgq_logs::snapshot::read_dir(&dir).unwrap();
         assert_eq!(loaded, out.dataset);
@@ -279,8 +280,14 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), ds.jobs.len());
-        assert!(ds.jobs.windows(2).all(|w| w[0].started_at <= w[1].started_at));
-        assert!(ds.ras.windows(2).all(|w| w[0].event_time <= w[1].event_time));
+        assert!(ds
+            .jobs
+            .windows(2)
+            .all(|w| w[0].started_at <= w[1].started_at));
+        assert!(ds
+            .ras
+            .windows(2)
+            .all(|w| w[0].event_time <= w[1].event_time));
         // Record ids are 1..=n in order.
         for (i, r) in ds.ras.iter().enumerate() {
             assert_eq!(r.rec_id.raw(), i as u64 + 1);
@@ -321,8 +328,7 @@ mod tests {
         let ratio = out.dataset.io.len() as f64 / out.dataset.jobs.len() as f64;
         assert!((ratio - 0.8).abs() < 0.06, "io coverage {ratio}");
         // Every I/O record references an existing job.
-        let ids: std::collections::HashSet<_> =
-            out.dataset.jobs.iter().map(|j| j.job_id).collect();
+        let ids: std::collections::HashSet<_> = out.dataset.jobs.iter().map(|j| j.job_id).collect();
         assert!(out.dataset.io.iter().all(|r| ids.contains(&r.job_id)));
     }
 

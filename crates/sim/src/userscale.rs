@@ -43,16 +43,10 @@ pub fn generate_jobs_only(config: &SimConfig) -> Vec<JobRecord> {
     let specs = bgq_obs::time("sim.userscale.arrivals", || {
         generate_arrivals(config, &population, &mut rng)
     });
-    bgq_obs::time("sim.userscale.emit", || {
-        emit(&population, &specs, &mut rng)
-    })
+    bgq_obs::time("sim.userscale.emit", || emit(&population, &specs, &mut rng))
 }
 
-fn emit(
-    population: &Population,
-    specs: &[JobSpec],
-    rng: &mut StdRng,
-) -> Vec<JobRecord> {
+fn emit(population: &Population, specs: &[JobSpec], rng: &mut StdRng) -> Vec<JobRecord> {
     // Ids follow sorted spec order (as in the scheduled path), so a
     // parent — queued strictly earlier — always gets the smaller id.
     let seq_to_id: HashMap<u64, JobId> = specs
@@ -89,7 +83,9 @@ fn emit(
             block: Block::new(start, spec.midplanes).expect("sized to the machine"),
             exit_code,
             num_tasks: spec.num_tasks,
-            resubmit_of: spec.resubmit_of.and_then(|seq| seq_to_id.get(&seq).copied()),
+            resubmit_of: spec
+                .resubmit_of
+                .and_then(|seq| seq_to_id.get(&seq).copied()),
         });
     }
     jobs.sort_by_key(|j| (j.started_at, j.job_id));
@@ -119,15 +115,19 @@ mod tests {
             got > fresh * 0.85 && got < fresh * 2.0,
             "{got} jobs for ≈{fresh} fresh arrivals plus retries"
         );
-        assert!(jobs.windows(2).all(|w| (w[0].started_at, w[0].job_id)
-            <= (w[1].started_at, w[1].job_id)));
+        assert!(jobs
+            .windows(2)
+            .all(|w| (w[0].started_at, w[0].job_id) <= (w[1].started_at, w[1].job_id)));
         let ids: std::collections::HashSet<JobId> = jobs.iter().map(|j| j.job_id).collect();
         assert_eq!(ids.len(), jobs.len());
         let mut linked = 0usize;
         for j in &jobs {
             if let Some(parent) = j.resubmit_of {
                 linked += 1;
-                assert!(parent.raw() < j.job_id.raw(), "lineage must point backwards");
+                assert!(
+                    parent.raw() < j.job_id.raw(),
+                    "lineage must point backwards"
+                );
                 assert!(ids.contains(&parent), "parent must exist");
             }
         }

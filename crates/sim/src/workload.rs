@@ -65,9 +65,8 @@ impl JobSpec {
     /// The planned execution length in seconds (ignoring system kills).
     pub fn planned_runtime_s(&self) -> u32 {
         match self.outcome {
-            PlannedOutcome::Success { runtime_s } | PlannedOutcome::UserFailure { runtime_s, .. } => {
-                runtime_s
-            }
+            PlannedOutcome::Success { runtime_s }
+            | PlannedOutcome::UserFailure { runtime_s, .. } => runtime_s,
         }
     }
 
@@ -178,7 +177,9 @@ pub fn generate_arrivals<R: Rng + ?Sized>(
                 let user = population.sample(rng);
                 let user_idx = user.user.raw() as usize;
                 let seq = specs.len() as u64;
-                specs.push(make_spec(config, user, user_idx, queued_at, seq, &modes, rng));
+                specs.push(make_spec(
+                    config, user, user_idx, queued_at, seq, &modes, rng,
+                ));
             }
         }
     }
@@ -220,8 +221,8 @@ fn generate_retries<R: Rng + ?Sized>(
         // end, approximating queue wait as small): exponential with the
         // configured mean, floored at one minute.
         let gap = (-config.retry_gap_mean_s * (1.0 - rng.gen::<f64>()).ln()).max(60.0) as i64;
-        let queued_at = parent.queued_at
-            + Span::from_secs(i64::from(parent.planned_runtime_s()) + gap);
+        let queued_at =
+            parent.queued_at + Span::from_secs(i64::from(parent.planned_runtime_s()) + gap);
         if queued_at >= config.horizon_end() {
             continue;
         }
@@ -283,10 +284,8 @@ pub fn make_spec<R: Rng + ?Sized>(
     .expect("in range");
 
     let (base_wt, _) = WALLTIMES[sample_weighted(rng, &WALLTIMES.map(|(_, w)| w))];
-    let walltime_s = ((base_wt as f64 * user.walltime_mult) as u32)
-        .clamp(1_800, 86_400)
-        / 900
-        * 900; // round down to 15-minute granularity
+    let walltime_s =
+        ((base_wt as f64 * user.walltime_mult) as u32).clamp(1_800, 86_400) / 900 * 900; // round down to 15-minute granularity
 
     let num_tasks = 1 + sample_poisson(rng, 1.0);
 
@@ -492,7 +491,10 @@ mod tests {
                         matches!(parent.outcome, PlannedOutcome::UserFailure { .. }),
                         "only failures are retried"
                     );
-                    assert!(parent.queued_at < s.queued_at, "parent must precede its retry");
+                    assert!(
+                        parent.queued_at < s.queued_at,
+                        "parent must precede its retry"
+                    );
                     assert_eq!(parent.attempt + 1, s.attempt);
                     assert_eq!(parent.user_idx, s.user_idx, "retries keep the owner");
                     assert_eq!(parent.midplanes, s.midplanes, "retries keep the size");
@@ -513,7 +515,10 @@ mod tests {
         // Small means keep the historical single-shot path.
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        assert_eq!(sample_poisson(&mut a, 12.5), sample_poisson_knuth(&mut b, 12.5));
+        assert_eq!(
+            sample_poisson(&mut a, 12.5),
+            sample_poisson_knuth(&mut b, 12.5)
+        );
     }
 
     #[test]

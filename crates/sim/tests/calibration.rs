@@ -70,7 +70,10 @@ fn ras_volume_and_mix() {
     let fatal = ras.iter().filter(|r| r.severity == Severity::Fatal).count();
     // INFO ≫ WARN ≫ FATAL, and fatal records come in storms (far more
     // records than incidents).
-    assert!(info > warn && warn > fatal, "mix info={info} warn={warn} fatal={fatal}");
+    assert!(
+        info > warn && warn > fatal,
+        "mix info={info} warn={warn} fatal={fatal}"
+    );
     assert!(fatal as f64 > out.truth.incidents.len() as f64 * 3.0);
 }
 

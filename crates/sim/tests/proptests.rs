@@ -7,13 +7,13 @@ use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = SimConfig> {
     (
-        1u32..8,           // days
-        0u64..1_000,       // seed
-        20.0f64..300.0,    // jobs per day
-        0.2f64..3.0,       // incident gap (days)
-        1.0f64..4.0,       // early-life factor
-        0.0f64..1.0,       // io coverage
-        0.2f64..2.0,       // failure scale
+        1u32..8,        // days
+        0u64..1_000,    // seed
+        20.0f64..300.0, // jobs per day
+        0.2f64..3.0,    // incident gap (days)
+        1.0f64..4.0,    // early-life factor
+        0.0f64..1.0,    // io coverage
+        0.2f64..2.0,    // failure scale
     )
         .prop_map(|(days, seed, jpd, gap, early, io, scale)| SimConfig {
             jobs_per_day: jpd,

@@ -41,10 +41,7 @@ impl Censored {
 }
 
 fn validate(data: &[Censored]) -> Result<(usize, f64), FitError> {
-    if let Some(bad) = data
-        .iter()
-        .find(|c| !c.time.is_finite() || c.time <= 0.0)
-    {
+    if let Some(bad) = data.iter().find(|c| !c.time.is_finite() || c.time <= 0.0) {
         return Err(FitError::UnsupportedValue {
             value: bad.time,
             kind: crate::dist::DistKind::Exponential,
@@ -158,8 +155,7 @@ mod tests {
         let truth = Dist::exponential(1.0 / 800.0).unwrap();
         let (data, _) = censored_sample(&truth, 1_200.0, 20_000, 2);
         // Naive: treat every time (including censored) as a failure time.
-        let naive_rate =
-            data.len() as f64 / data.iter().map(|c| c.time).sum::<f64>();
+        let naive_rate = data.len() as f64 / data.iter().map(|c| c.time).sum::<f64>();
         let Dist::Exponential { lambda } = fit_exponential_censored(&data).unwrap() else {
             unreachable!()
         };

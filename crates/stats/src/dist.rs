@@ -181,7 +181,11 @@ pub struct ParamError {
 
 impl fmt::Display for ParamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid distribution parameter {}: {}", self.what, self.value)
+        write!(
+            f,
+            "invalid distribution parameter {}: {}",
+            self.what, self.value
+        )
     }
 }
 
@@ -593,8 +597,7 @@ impl Dist {
     /// extra parameters than AIC at large `n`, which matters here because
     /// the candidate families nest each other.
     pub fn bic(&self, data: &[f64]) -> f64 {
-        self.num_params() as f64 * (data.len().max(1) as f64).ln()
-            - 2.0 * self.log_likelihood(data)
+        self.num_params() as f64 * (data.len().max(1) as f64).ln() - 2.0 * self.log_likelihood(data)
     }
 }
 
@@ -825,7 +828,13 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(Dist::weibull(0.7, 2.0).unwrap().to_string().contains("Weibull"));
-        assert!(Dist::erlang(2, 1.0).unwrap().to_string().contains("Erlang(k=2"));
+        assert!(Dist::weibull(0.7, 2.0)
+            .unwrap()
+            .to_string()
+            .contains("Weibull"));
+        assert!(Dist::erlang(2, 1.0)
+            .unwrap()
+            .to_string()
+            .contains("Erlang(k=2"));
     }
 }

@@ -289,10 +289,18 @@ mod tests {
         let data = truth.sample_n(&mut rng, n);
         let fitted = truth.kind().fit(&data).unwrap();
         let pairs: &[(f64, f64)] = &match (truth, fitted) {
-            (Dist::Exponential { lambda: a }, Dist::Exponential { lambda: b }) => [(a, b); 1].to_vec(),
+            (Dist::Exponential { lambda: a }, Dist::Exponential { lambda: b }) => {
+                [(a, b); 1].to_vec()
+            }
             (
-                Dist::Weibull { shape: a1, scale: a2 },
-                Dist::Weibull { shape: b1, scale: b2 },
+                Dist::Weibull {
+                    shape: a1,
+                    scale: a2,
+                },
+                Dist::Weibull {
+                    shape: b1,
+                    scale: b2,
+                },
             ) => vec![(a1, b1), (a2, b2)],
             (Dist::Pareto { xm: a1, alpha: a2 }, Dist::Pareto { xm: b1, alpha: b2 }) => {
                 vec![(a1, b1), (a2, b2)]
@@ -300,7 +308,16 @@ mod tests {
             (Dist::LogNormal { mu: a1, sigma: a2 }, Dist::LogNormal { mu: b1, sigma: b2 }) => {
                 vec![(a1, b1), (a2, b2)]
             }
-            (Dist::Gamma { shape: a1, rate: a2 }, Dist::Gamma { shape: b1, rate: b2 }) => {
+            (
+                Dist::Gamma {
+                    shape: a1,
+                    rate: a2,
+                },
+                Dist::Gamma {
+                    shape: b1,
+                    rate: b2,
+                },
+            ) => {
                 vec![(a1, b1), (a2, b2)]
             }
             (Dist::Erlang { k: a1, rate: a2 }, Dist::Erlang { k: b1, rate: b2 }) => {

@@ -271,7 +271,10 @@ mod tests {
         let a = d1.sample_n(&mut rng, 1500);
         let b = d1.sample_n(&mut rng, 1500);
         let (_, p_same) = ks_two_sample(&a, &b).unwrap();
-        assert!(p_same > 0.01, "same-distribution samples rejected: p={p_same}");
+        assert!(
+            p_same > 0.01,
+            "same-distribution samples rejected: p={p_same}"
+        );
 
         let shifted = Dist::weibull(0.8, 200.0).unwrap().sample_n(&mut rng, 1500);
         let (d, p_diff) = ks_two_sample(&a, &shifted).unwrap();

@@ -154,9 +154,13 @@ mod tests {
     #[test]
     fn weibull_hazard_trends_match_shape() {
         let mut rng = StdRng::seed_from_u64(3);
-        let decreasing = Dist::weibull(0.6, 100.0).unwrap().sample_n(&mut rng, 20_000);
+        let decreasing = Dist::weibull(0.6, 100.0)
+            .unwrap()
+            .sample_n(&mut rng, 20_000);
         assert!(hazard_trend(&decreasing, 20.0, 10).unwrap() < 0.0);
-        let increasing = Dist::weibull(2.5, 100.0).unwrap().sample_n(&mut rng, 20_000);
+        let increasing = Dist::weibull(2.5, 100.0)
+            .unwrap()
+            .sample_n(&mut rng, 20_000);
         assert!(hazard_trend(&increasing, 20.0, 10).unwrap() > 0.0);
     }
 

@@ -19,9 +19,17 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 enum Edges {
     /// Equal-width bins; `width = (hi - lo) / bins` seeds the guess.
-    Linear { lo: f64, width: f64, edges: Vec<f64> },
+    Linear {
+        lo: f64,
+        width: f64,
+        edges: Vec<f64>,
+    },
     /// Geometric bins; `ratio = (hi / lo)^(1/bins)` seeds the guess.
-    Log { lo: f64, ratio: f64, edges: Vec<f64> },
+    Log {
+        lo: f64,
+        ratio: f64,
+        edges: Vec<f64>,
+    },
     /// Arbitrary ascending edges (n+1 edges for n bins).
     Explicit(Vec<f64>),
 }
@@ -64,7 +72,9 @@ impl fmt::Display for HistogramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HistogramError::NoBins => f.write_str("histogram needs at least one bin"),
-            HistogramError::BadBounds => f.write_str("histogram bounds must be increasing (and positive for log bins)"),
+            HistogramError::BadBounds => {
+                f.write_str("histogram bounds must be increasing (and positive for log bins)")
+            }
         }
     }
 }
@@ -81,7 +91,10 @@ impl Histogram {
         if bins == 0 {
             return Err(HistogramError::NoBins);
         }
-        if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) || !lo.is_finite() || !hi.is_finite() {
+        if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater)
+            || !lo.is_finite()
+            || !hi.is_finite()
+        {
             return Err(HistogramError::BadBounds);
         }
         // Edge i as `lo + span * (i / bins)` rather than `lo + i * width`:
@@ -158,7 +171,10 @@ impl Histogram {
         if edges.len() < 2 {
             return Err(HistogramError::NoBins);
         }
-        if edges.windows(2).any(|w| w[1].partial_cmp(&w[0]) != Some(std::cmp::Ordering::Greater)) {
+        if edges
+            .windows(2)
+            .any(|w| w[1].partial_cmp(&w[0]) != Some(std::cmp::Ordering::Greater))
+        {
             return Err(HistogramError::BadBounds);
         }
         let bins = edges.len() - 1;
@@ -347,13 +363,19 @@ mod tests {
     #[test]
     fn construction_errors() {
         assert_eq!(Histogram::linear(0.0, 1.0, 0), Err(HistogramError::NoBins));
-        assert_eq!(Histogram::linear(1.0, 1.0, 3), Err(HistogramError::BadBounds));
+        assert_eq!(
+            Histogram::linear(1.0, 1.0, 3),
+            Err(HistogramError::BadBounds)
+        );
         assert_eq!(Histogram::log(0.0, 1.0, 3), Err(HistogramError::BadBounds));
         assert_eq!(
             Histogram::with_edges(vec![0.0, 0.0, 1.0]),
             Err(HistogramError::BadBounds)
         );
-        assert_eq!(Histogram::with_edges(vec![1.0]), Err(HistogramError::NoBins));
+        assert_eq!(
+            Histogram::with_edges(vec![1.0]),
+            Err(HistogramError::NoBins)
+        );
     }
 
     /// Regression: `(0.7 - 0.0) / 0.1 = 6.999…` used to put 0.7 in bin 6.
@@ -387,7 +409,12 @@ mod tests {
                 let mut h = proto.clone();
                 h.add(hi);
                 if i + 1 < h.bins() {
-                    assert_eq!(h.count(i + 1), 1, "upper edge {hi} must land in bin {}", i + 1);
+                    assert_eq!(
+                        h.count(i + 1),
+                        1,
+                        "upper edge {hi} must land in bin {}",
+                        i + 1
+                    );
                     assert_eq!(h.count(i), 0, "upper edge {hi} must not land in bin {i}");
                 } else {
                     assert_eq!(h.overflow(), 1, "top edge {hi} must overflow");

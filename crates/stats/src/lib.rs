@@ -49,11 +49,11 @@ pub mod topk;
 pub use bootstrap::{bootstrap_ci, BootstrapCi};
 pub use censor::{fit_exponential_censored, fit_weibull_censored, Censored};
 pub use correlation::{kendall_tau, pearson, spearman};
-pub use hazard::{binned_hazard, hazard_trend, nelson_aalen};
 pub use dist::{Dist, DistKind};
 pub use ecdf::Ecdf;
 pub use fit::FitError;
 pub use gof::{ks_p_value, ks_statistic, select_best, GofResult, ModelSelection};
+pub use hazard::{binned_hazard, hazard_trend, nelson_aalen};
 pub use histogram::Histogram;
 pub use summary::{gini, lorenz_curve, top_k_share, Summary};
 pub use topk::{HeavyHitter, SpaceSaving};

@@ -62,7 +62,8 @@ pub fn digamma(x: f64) -> f64 {
     }
     let inv = 1.0 / x;
     let inv2 = inv * inv;
-    result + x.ln() - 0.5 * inv
+    result + x.ln()
+        - 0.5 * inv
         - inv2
             * (1.0 / 12.0
                 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
@@ -274,8 +275,8 @@ mod tests {
         assert_close(ln_gamma(100.0), 359.134_205_369_575_4, 1e-12, "lnΓ(100)");
         // Stirling cross-check at a non-integer argument.
         let x: f64 = 123.456;
-        let stirling = (x - 0.5) * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI).ln()
-            + 1.0 / (12.0 * x);
+        let stirling =
+            (x - 0.5) * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI).ln() + 1.0 / (12.0 * x);
         assert_close(ln_gamma(x), stirling, 1e-7, "lnΓ(123.456) vs Stirling");
     }
 
@@ -334,7 +335,12 @@ mod tests {
             let x = std_normal_quantile(p);
             assert_close(std_normal_cdf(x), p, 1e-9, "Φ(Φ⁻¹(p))");
         }
-        assert_close(std_normal_quantile(0.975), 1.959_963_984_540_054, 1e-9, "Φ⁻¹(0.975)");
+        assert_close(
+            std_normal_quantile(0.975),
+            1.959_963_984_540_054,
+            1e-9,
+            "Φ⁻¹(0.975)",
+        );
     }
 
     #[test]

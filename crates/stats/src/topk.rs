@@ -66,7 +66,10 @@ impl SpaceSaving {
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "a space-saving sketch needs at least one counter");
+        assert!(
+            capacity > 0,
+            "a space-saving sketch needs at least one counter"
+        );
         Self {
             capacity,
             counts: BTreeMap::new(),
@@ -129,7 +132,13 @@ impl SpaceSaving {
             c.count += weight;
             self.order.insert((c.count, key));
         } else if self.counts.len() < self.capacity {
-            self.counts.insert(key, Counter { count: weight, over: 0 });
+            self.counts.insert(
+                key,
+                Counter {
+                    count: weight,
+                    over: 0,
+                },
+            );
             self.order.insert((weight, key));
         } else {
             // Evict the minimum counter — ties resolved by smallest key
@@ -138,7 +147,13 @@ impl SpaceSaving {
             self.order.remove(&(min_count, min_key));
             self.counts.remove(&min_key);
             let count = min_count + weight;
-            self.counts.insert(key, Counter { count, over: min_count });
+            self.counts.insert(
+                key,
+                Counter {
+                    count,
+                    over: min_count,
+                },
+            );
             self.order.insert((count, key));
         }
     }
@@ -281,13 +296,20 @@ mod tests {
         for h in sk.top(usize::MAX) {
             let t = truth.get(&h.key).copied().unwrap_or(0);
             assert!(h.count >= t, "space-saving never undercounts");
-            assert!(h.count - t <= bound, "over-count {} > εW {bound}", h.count - t);
+            assert!(
+                h.count - t <= bound,
+                "over-count {} > εW {bound}",
+                h.count - t
+            );
             assert!(h.guaranteed() <= t, "guaranteed floor must hold");
         }
         // Completeness: every true heavy hitter above εW is tracked.
         for (&k, &t) in &truth {
             if t > bound {
-                assert!(sk.top(usize::MAX).iter().any(|h| h.key == k), "missing heavy key {k}");
+                assert!(
+                    sk.top(usize::MAX).iter().any(|h| h.key == k),
+                    "missing heavy key {k}"
+                );
             }
         }
     }
@@ -336,9 +358,16 @@ mod tests {
         for h in merged.top(usize::MAX) {
             let t = truth.get(&h.key).copied().unwrap_or(0);
             assert!(h.count >= t, "merged sketch must not undercount");
-            assert!(h.count - t <= bound, "merged over-count {} > {bound}", h.count - t);
+            assert!(
+                h.count - t <= bound,
+                "merged over-count {} > {bound}",
+                h.count - t
+            );
         }
-        assert_eq!(merged.total_weight(), updates.iter().map(|u| u.1).sum::<u64>());
+        assert_eq!(
+            merged.total_weight(),
+            updates.iter().map(|u| u.1).sum::<u64>()
+        );
     }
 
     #[test]

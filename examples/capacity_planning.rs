@@ -46,10 +46,7 @@ fn main() {
     );
 
     let scenarios: Vec<(String, SimConfig)> = vec![
-        (
-            "baseline".into(),
-            SimConfig::small(DAYS).with_seed(5),
-        ),
+        ("baseline".into(), SimConfig::small(DAYS).with_seed(5)),
         (
             "user training (-30% bugs)".into(),
             SimConfig::small(DAYS).with_seed(5).with_failure_scale(0.7),
@@ -60,11 +57,15 @@ fn main() {
         ),
         (
             "hw screening (2x MTBF)".into(),
-            SimConfig::small(DAYS).with_seed(5).with_incident_gap_days(3.0),
+            SimConfig::small(DAYS)
+                .with_seed(5)
+                .with_incident_gap_days(3.0),
         ),
         (
             "worse hw (0.5x MTBF)".into(),
-            SimConfig::small(DAYS).with_seed(5).with_incident_gap_days(0.75),
+            SimConfig::small(DAYS)
+                .with_seed(5)
+                .with_incident_gap_days(0.75),
         ),
     ];
 

@@ -46,7 +46,11 @@ fn main() {
         let r = &ds.ras[idx];
         println!(
             "  {} {} {:9} {} :: {}",
-            r.event_time, r.msg_id, r.severity.name(), r.location, r.message
+            r.event_time,
+            r.msg_id,
+            r.severity.name(),
+            r.location,
+            r.message
         );
     }
 
@@ -62,7 +66,10 @@ fn main() {
         .collect();
     println!();
     if victims.is_empty() {
-        println!("no job was running on {} — the block was idle.", incident.root);
+        println!(
+            "no job was running on {} — the block was idle.",
+            incident.root
+        );
     } else {
         println!("jobs running on the failed hardware when the incident began:");
         for j in victims {

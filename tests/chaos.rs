@@ -35,9 +35,7 @@ use bgq_chaos::{
 };
 use bgq_core::analysis::Analysis;
 use bgq_logs::snapshot::{self, day_of, segment_path, SegmentQuarantine};
-use bgq_logs::store::{
-    Dataset, LoadOptions, LoadReport, QuarantineReason, TableStatus,
-};
+use bgq_logs::store::{Dataset, LoadOptions, LoadReport, QuarantineReason, TableStatus};
 use bgq_model::Timestamp;
 use bgq_sim::{generate, generate_to_snapshot, SimConfig};
 
@@ -131,7 +129,12 @@ fn assert_table_matches(report: &LoadReport, loaded: &Dataset, ledger: &TableLed
         );
         return;
     }
-    assert_eq!(stats.status, TableStatus::Loaded, "table {} must load", ledger.table);
+    assert_eq!(
+        stats.status,
+        TableStatus::Loaded,
+        "table {} must load",
+        ledger.table
+    );
     assert_eq!(
         stats.rejected_csv,
         ledger.expected_rejected_csv(),
@@ -188,10 +191,8 @@ fn assert_table_matches(report: &LoadReport, loaded: &Dataset, ledger: &TableLed
 fn run_case(seed: u64) -> ChaosLedger {
     let base = baseline();
     let (table, mode) = plan_for_seed(seed);
-    let case_dir = std::env::temp_dir().join(format!(
-        "bgq-chaos-case-{seed}-{}",
-        std::process::id()
-    ));
+    let case_dir =
+        std::env::temp_dir().join(format!("bgq-chaos-case-{seed}-{}", std::process::id()));
     write_files(&base.files, &case_dir);
     let table_static = bgq_chaos::TABLES
         .iter()
@@ -269,23 +270,21 @@ fn run_corpus(seeds: std::ops::Range<u64>) {
                 // matches what the failing case saw.
                 let dump_dir = Path::new("target/chaos-ledgers");
                 std::fs::create_dir_all(dump_dir).ok();
-                let replay_dir = std::env::temp_dir().join(format!(
-                    "bgq-chaos-replay-{seed}-{}",
-                    std::process::id()
-                ));
+                let replay_dir = std::env::temp_dir()
+                    .join(format!("bgq-chaos-replay-{seed}-{}", std::process::id()));
                 write_files(&baseline().files, &replay_dir);
-                let table_static =
-                    bgq_chaos::TABLES.iter().find(|t| **t == table).copied().unwrap();
+                let table_static = bgq_chaos::TABLES
+                    .iter()
+                    .find(|t| **t == table)
+                    .copied()
+                    .unwrap();
                 if let Ok(ledger) = corrupt_table(&replay_dir, table_static, mode, seed) {
                     let chaos = ChaosLedger {
                         seed,
                         tables: vec![ledger],
                     };
-                    std::fs::write(
-                        dump_dir.join(format!("seed-{seed}.json")),
-                        chaos.to_json(),
-                    )
-                    .ok();
+                    std::fs::write(dump_dir.join(format!("seed-{seed}.json")), chaos.to_json())
+                        .ok();
                 }
                 std::fs::remove_dir_all(&replay_dir).ok();
                 let msg = payload
@@ -331,10 +330,8 @@ fn deleting_any_single_table_degrades_instead_of_failing() {
         ..LoadOptions::default()
     };
     for table in bgq_chaos::TABLES {
-        let case_dir = std::env::temp_dir().join(format!(
-            "bgq-chaos-delete-{table}-{}",
-            std::process::id()
-        ));
+        let case_dir =
+            std::env::temp_dir().join(format!("bgq-chaos-delete-{table}-{}", std::process::id()));
         write_files(&base.files, &case_dir);
         std::fs::remove_file(case_dir.join(format!("{table}.csv"))).unwrap();
         let (loaded, report) = Dataset::load_dir_with(&case_dir, &opts)
@@ -379,7 +376,11 @@ fn transient_read_fault_is_retried_to_a_clean_load() {
     assert_eq!(report.table("jobs").unwrap().retries, 1);
     assert_eq!(report.table("ras").unwrap().retries, 1);
     assert_eq!(report.table("tasks").unwrap().retries, 0);
-    assert_eq!(source.opens("jobs"), 2, "one failed open plus one clean rescan");
+    assert_eq!(
+        source.opens("jobs"),
+        2,
+        "one failed open plus one clean rescan"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -400,8 +401,7 @@ struct SnapshotBaseline {
 fn snapshot_baseline() -> &'static SnapshotBaseline {
     static BASE: OnceLock<SnapshotBaseline> = OnceLock::new();
     BASE.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("bgq-chaos-snap-base-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("bgq-chaos-snap-base-{}", std::process::id()));
         let (out, stats) =
             generate_to_snapshot(&SimConfig::small(6).with_seed(7), &dir).expect("write snapshot");
         assert!(stats.segments > 0, "corpus needs segments");
@@ -472,10 +472,8 @@ fn segment_corruption_matches_ledger_exactly() {
             let Some(day) = segment_day_with_rows(base, table) else {
                 continue;
             };
-            let case_dir = std::env::temp_dir().join(format!(
-                "bgq-chaos-seg-{case}-{}",
-                std::process::id()
-            ));
+            let case_dir =
+                std::env::temp_dir().join(format!("bgq-chaos-seg-{case}-{}", std::process::id()));
             write_files(&base.files, &case_dir);
             let mut rng = SplitMix64::new(0xC0FFEE ^ case);
             let target = segment_path(&case_dir, table, day);
@@ -599,10 +597,8 @@ fn segment_corruption_matches_ledger_exactly() {
 fn poisoned_segment_trips_the_reject_ceiling_per_partition() {
     let base = snapshot_baseline();
     let day = segment_day_with_rows(base, "jobs").expect("jobs segment with rows");
-    let case_dir = std::env::temp_dir().join(format!(
-        "bgq-chaos-seg-ceiling-{}",
-        std::process::id()
-    ));
+    let case_dir =
+        std::env::temp_dir().join(format!("bgq-chaos-seg-ceiling-{}", std::process::id()));
     write_files(&base.files, &case_dir);
     let mut rng = SplitMix64::new(99);
     let ledger = corrupt_segment(
@@ -684,7 +680,10 @@ fn poisoned_lineage_quarantines_rows_and_mining_survives() {
         )
         .expect("every day of a 3-day sim has job rows");
         let SegmentFate::RowsRejected(k) = ledger.fate else {
-            panic!("lineage poison must predict row rejects: {}", ledger.to_json());
+            panic!(
+                "lineage poison must predict row rejects: {}",
+                ledger.to_json()
+            );
         };
         poisoned += k;
     }
@@ -813,7 +812,10 @@ fn live_tail_quarantines_faults_without_dropping_connections() {
         &mut rng,
     )
     .expect("flip ras payload");
-    assert_eq!(ras_ledger.fate, SegmentFate::Quarantined(SegmentQuarantine::Checksum));
+    assert_eq!(
+        ras_ledger.fate,
+        SegmentFate::Quarantined(SegmentQuarantine::Checksum)
+    );
     assert_eq!(ingestor.poll().unwrap(), 1);
     let stats = client.query("STATS").unwrap();
     assert!(stats.contains("degraded ras"), "{stats}");
@@ -832,7 +834,10 @@ fn live_tail_quarantines_faults_without_dropping_connections() {
         &mut rng,
     )
     .expect("delete jobs segment");
-    assert_eq!(jobs_ledger.fate, SegmentFate::Quarantined(SegmentQuarantine::Missing));
+    assert_eq!(
+        jobs_ledger.fate,
+        SegmentFate::Quarantined(SegmentQuarantine::Missing)
+    );
     assert_eq!(ingestor.poll().unwrap(), 1);
     let stats = client.query("STATS").unwrap();
     assert!(stats.contains("degraded jobs,ras"), "{stats}");

@@ -36,7 +36,10 @@ fn parallel_analysis_is_bit_identical_to_sequential() {
         par.rate_by_consumed_core_hours,
         seq.rate_by_consumed_core_hours
     );
-    assert_eq!(format!("{:?}", par.class_fits), format!("{:?}", seq.class_fits));
+    assert_eq!(
+        format!("{:?}", par.class_fits),
+        format!("{:?}", seq.class_fits)
+    );
     assert_eq!(par.ras, seq.ras);
     assert_eq!(par.user_events, seq.user_events);
     assert_eq!(par.locality_boards, seq.locality_boards);
@@ -45,12 +48,24 @@ fn parallel_analysis_is_bit_identical_to_sequential() {
     assert_eq!(par.interruptions, seq.interruptions);
     assert_eq!(par.submissions_profile, seq.submissions_profile);
     assert_eq!(par.failures_profile, seq.failures_profile);
-    assert_eq!(format!("{:?}", par.interval_fit), format!("{:?}", seq.interval_fit));
+    assert_eq!(
+        format!("{:?}", par.interval_fit),
+        format!("{:?}", seq.interval_fit)
+    );
     assert_eq!(format!("{:?}", par.io), format!("{:?}", seq.io));
     assert_eq!(par.lifetime, seq.lifetime);
-    assert_eq!(format!("{:?}", par.prediction), format!("{:?}", seq.prediction));
-    assert_eq!(format!("{:?}", par.waits_by_size), format!("{:?}", seq.waits_by_size));
-    assert_eq!(format!("{:?}", par.waits_by_queue), format!("{:?}", seq.waits_by_queue));
+    assert_eq!(
+        format!("{:?}", par.prediction),
+        format!("{:?}", seq.prediction)
+    );
+    assert_eq!(
+        format!("{:?}", par.waits_by_size),
+        format!("{:?}", seq.waits_by_size)
+    );
+    assert_eq!(
+        format!("{:?}", par.waits_by_queue),
+        format!("{:?}", seq.waits_by_queue)
+    );
     assert_eq!(par.mean_utilization, seq.mean_utilization);
 
     // And the whole struct at once, in case a field is ever added
@@ -74,7 +89,10 @@ fn columnar_and_chain_mining_are_bit_identical() {
             .with_jobs_per_day(5_000.0)
             .with_retries(0.5),
     );
-    assert!(jobs.iter().any(|j| j.resubmit_of.is_some()), "need real chains");
+    assert!(
+        jobs.iter().any(|j| j.resubmit_of.is_some()),
+        "need real chains"
+    );
 
     let par = bgq_par::with_max_threads(8, || {
         (
@@ -90,8 +108,14 @@ fn columnar_and_chain_mining_are_bit_identical() {
             mine_chains(&jobs),
         )
     });
-    assert_eq!(par.0, seq.0, "per-user columnar diverged across thread counts");
-    assert_eq!(par.1, seq.1, "per-project columnar diverged across thread counts");
+    assert_eq!(
+        par.0, seq.0,
+        "per-user columnar diverged across thread counts"
+    );
+    assert_eq!(
+        par.1, seq.1,
+        "per-project columnar diverged across thread counts"
+    );
     assert_eq!(par.2, seq.2, "chain mining diverged across thread counts");
 
     // Partition layout must not leak into results either — including
@@ -100,7 +124,10 @@ fn columnar_and_chain_mining_are_bit_identical() {
         let alt = bgq_par::with_max_threads(8, || {
             per_entity_columnar(&jobs, |j| j.user.raw(), chunk_rows)
         });
-        assert_eq!(alt, seq.0, "chunk layout {chunk_rows} changed the aggregate");
+        assert_eq!(
+            alt, seq.0,
+            "chunk layout {chunk_rows} changed the aggregate"
+        );
     }
 }
 

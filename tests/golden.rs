@@ -62,7 +62,10 @@ fn json_str(s: &str) -> String {
 fn snapshot() -> String {
     let ds = generate(&SimConfig::small(DAYS).with_seed(SEED)).dataset;
     let a = Analysis::run(&ds);
-    let t = a.totals.as_ref().expect("fixed-seed trace must be non-empty");
+    let t = a
+        .totals
+        .as_ref()
+        .expect("fixed-seed trace must be non-empty");
 
     let mut s = String::new();
     s.push_str("{\n");
@@ -91,7 +94,11 @@ fn snapshot() -> String {
         let _ = write!(s, "{}: {count}", json_str(&class.to_string()));
     }
     s.push_str("},\n");
-    let _ = writeln!(s, "  \"user_caused_share\": {},", opt_num(a.user_caused_share));
+    let _ = writeln!(
+        s,
+        "  \"user_caused_share\": {},",
+        opt_num(a.user_caused_share)
+    );
 
     s.push_str("  \"rate_by_scale\": [\n");
     for (i, b) in a.rate_by_scale.buckets.iter().enumerate() {
@@ -101,7 +108,11 @@ fn snapshot() -> String {
             json_str(&b.label),
             b.jobs,
             b.failed,
-            if i + 1 < a.rate_by_scale.buckets.len() { "," } else { "" },
+            if i + 1 < a.rate_by_scale.buckets.len() {
+                ","
+            } else {
+                ""
+            },
         );
     }
     s.push_str("  ],\n");
@@ -126,7 +137,10 @@ fn snapshot() -> String {
         s,
         "  \"filter\": {{\"raw_fatal\": {}, \"after_temporal\": {}, \"after_spatial\": {}, \
          \"after_similarity\": {}}},",
-        a.filter.raw_fatal, a.filter.after_temporal, a.filter.after_spatial, a.filter.after_similarity,
+        a.filter.raw_fatal,
+        a.filter.after_temporal,
+        a.filter.after_spatial,
+        a.filter.after_similarity,
     );
     let _ = writeln!(
         s,

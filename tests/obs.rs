@@ -25,7 +25,8 @@ static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(feature = "obs")]
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One instrumented pipeline pass; returns the snapshot delta it produced.
@@ -45,10 +46,17 @@ fn counter_totals_are_schedule_independent() {
     let _l = lock();
     let (a8, d8) = instrumented_run(8);
     let (a1, d1) = instrumented_run(1);
-    assert_eq!(format!("{a8:?}"), format!("{a1:?}"), "analysis itself diverged");
+    assert_eq!(
+        format!("{a8:?}"),
+        format!("{a1:?}"),
+        "analysis itself diverged"
+    );
     // Counters and gauges are added as per-stage totals, never per-record
     // atomics, so any bgq-par schedule must yield the same maps.
-    assert_eq!(d8.counters, d1.counters, "counter totals depend on the schedule");
+    assert_eq!(
+        d8.counters, d1.counters,
+        "counter totals depend on the schedule"
+    );
     assert_eq!(d8.gauges, d1.gauges, "gauge values depend on the schedule");
     // Span *identities* agree too (wall times are allowed to differ).
     let names8: Vec<&String> = d8.spans.keys().collect();
@@ -62,7 +70,10 @@ fn funnel_counters_match_analysis_fields_exactly() {
     let _l = lock();
     let (analysis, delta) = instrumented_run(8);
     let f = &analysis.filter;
-    assert_eq!(delta.counter("filter.funnel", "raw_fatal"), f.raw_fatal as u64);
+    assert_eq!(
+        delta.counter("filter.funnel", "raw_fatal"),
+        f.raw_fatal as u64
+    );
     assert_eq!(
         delta.counter("filter.funnel", "after_temporal"),
         f.after_temporal as u64
@@ -79,8 +90,14 @@ fn funnel_counters_match_analysis_fields_exactly() {
     // pair was first a candidate.
     let candidates = delta.counter("join.candidates", "");
     let emitted = delta.counter("join.emitted", "");
-    assert!(emitted <= candidates, "{emitted} attributed > {candidates} candidates");
-    assert!(candidates > 0, "the stab index produced no candidates at all");
+    assert!(
+        emitted <= candidates,
+        "{emitted} attributed > {candidates} candidates"
+    );
+    assert!(
+        candidates > 0,
+        "the stab index produced no candidates at all"
+    );
 }
 
 #[test]
@@ -102,7 +119,11 @@ fn join_memo_is_built_once_per_severity() {
     let _ = bgq_core::ras_analysis::affected_jobs_indexed(&idx, Severity::Warn);
     let _ = bgq_core::ras_analysis::user_event_correlation_indexed(&idx, Severity::Warn);
     let delta = bgq_obs::snapshot().since(&before);
-    assert_eq!(delta.counter("index.join.memo_miss", "warn"), 1, "join rebuilt");
+    assert_eq!(
+        delta.counter("index.join.memo_miss", "warn"),
+        1,
+        "join rebuilt"
+    );
     assert_eq!(delta.counter("index.join.memo_hit", "warn"), 2);
 
     // A different severity is its own (single) build.
@@ -159,14 +180,24 @@ fn data_histograms_are_schedule_independent() {
     let (_, d1) = instrumented_run(1);
     // Data histograms are merged bucket-wise, so any worker schedule
     // yields byte-identical distributions …
-    assert!(!d8.hists.is_empty(), "pipeline published no data histograms");
+    assert!(
+        !d8.hists.is_empty(),
+        "pipeline published no data histograms"
+    );
     assert_eq!(d8.hists, d1.hists, "data histograms depend on the schedule");
     // … while span-duration histograms agree in *counts* only (the
     // durations themselves are wall-clock noise).
     let counts = |d: &bgq_obs::Snapshot| -> Vec<(String, u64)> {
-        d.span_ns.iter().map(|(k, h)| (k.clone(), h.count())).collect()
+        d.span_ns
+            .iter()
+            .map(|(k, h)| (k.clone(), h.count()))
+            .collect()
     };
-    assert_eq!(counts(&d8), counts(&d1), "span invocation counts depend on the schedule");
+    assert_eq!(
+        counts(&d8),
+        counts(&d1),
+        "span invocation counts depend on the schedule"
+    );
     for name in ["join.candidates_per_event", "filter.cluster_size"] {
         assert!(
             d8.hist(name, "").is_some(),
@@ -181,14 +212,16 @@ fn data_histograms_are_schedule_independent() {
 fn synthetic_values(seed: u64, n: usize) -> Vec<u64> {
     let mut state = seed;
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         state >> 33
     };
     (0..n)
         .map(|i| match i % 4 {
-            0 => next() % 32,            // exact buckets
-            1 => next() % 4_096,         // a few octaves up
-            2 => next() % 1_000_000,     // mid range
+            0 => next() % 32,             // exact buckets
+            1 => next() % 4_096,          // a few octaves up
+            2 => next() % 1_000_000,      // mid range
             _ => next() % 40_000_000_000, // far tail
         })
         .collect()
@@ -291,7 +324,10 @@ fn trace_event_counts_are_schedule_independent() {
         }
         runs.push(counts);
     }
-    assert_eq!(runs[0], runs[1], "per-name trace-event counts depend on the schedule");
+    assert_eq!(
+        runs[0], runs[1],
+        "per-name trace-event counts depend on the schedule"
+    );
 }
 
 #[test]

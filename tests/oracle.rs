@@ -69,7 +69,11 @@ fn harvest_edges(h: &Histogram) -> Vec<f64> {
 /// linear search over those reference edges.
 fn check_histogram(mut h: Histogram, ref_edges: &[f64], values: &[f64], what: &str) {
     let harvested = harvest_edges(&h);
-    assert_eq!(harvested.len(), ref_edges.len(), "{what}: edge count diverged");
+    assert_eq!(
+        harvested.len(),
+        ref_edges.len(),
+        "{what}: edge count diverged"
+    );
     for (i, (got, want)) in harvested.iter().zip(ref_edges).enumerate() {
         assert_eq!(
             got.to_bits(),
@@ -81,8 +85,16 @@ fn check_histogram(mut h: Histogram, ref_edges: &[f64], values: &[f64], what: &s
         h.add(v);
     }
     let (under, counts, over) = binning::fill_by_linear_search(ref_edges, values);
-    assert_eq!(h.underflow(), under, "{what}: underflow diverged on {values:?}");
-    assert_eq!(h.overflow(), over, "{what}: overflow diverged on {values:?}");
+    assert_eq!(
+        h.underflow(),
+        under,
+        "{what}: underflow diverged on {values:?}"
+    );
+    assert_eq!(
+        h.overflow(),
+        over,
+        "{what}: overflow diverged on {values:?}"
+    );
     for (i, &want) in counts.iter().enumerate() {
         assert_eq!(
             h.count(i),
@@ -238,7 +250,12 @@ fn check_interned_roundtrip(case: &AdversarialCase, dir: &std::path::Path) {
         "lenient streaming round-trip diverged (seed {})",
         case.seed
     );
-    assert_eq!(report.total_rejected(), 0, "clean data rejected rows (seed {})", case.seed);
+    assert_eq!(
+        report.total_rejected(),
+        0,
+        "clean data rejected rows (seed {})",
+        case.seed
+    );
     for severity in Severity::ALL {
         let got: Vec<(usize, usize)> = attribute_events(&lenient.jobs, &lenient.ras, severity)
             .pairs
@@ -274,11 +291,20 @@ fn check_snapshot_roundtrip(case: &AdversarialCase, dir: &std::path::Path) {
         "strict snapshot round-trip diverged (seed {})",
         case.seed
     );
-    let rows = |f: fn(&snapshot::PartitionSpan) -> usize| -> usize {
-        parts.days.iter().map(f).sum()
-    };
-    assert_eq!(rows(|s| s.jobs.len()), canonical.jobs.len(), "seed {}", case.seed);
-    assert_eq!(rows(|s| s.ras.len()), canonical.ras.len(), "seed {}", case.seed);
+    let rows =
+        |f: fn(&snapshot::PartitionSpan) -> usize| -> usize { parts.days.iter().map(f).sum() };
+    assert_eq!(
+        rows(|s| s.jobs.len()),
+        canonical.jobs.len(),
+        "seed {}",
+        case.seed
+    );
+    assert_eq!(
+        rows(|s| s.ras.len()),
+        canonical.ras.len(),
+        "seed {}",
+        case.seed
+    );
     let opts = LoadOptions {
         max_reject_ratio: 1.0,
         degraded: true,
@@ -322,8 +348,15 @@ fn check_chains(case: &AdversarialCase) {
     let got = mine_chains(jobs);
     let (chains, dangling) = users::chains_naive(jobs);
     let seed = case.seed;
-    assert_eq!(got.chains, chains.len(), "chain count diverged (seed {seed})");
-    assert_eq!(got.dangling_links, dangling, "dangling count diverged (seed {seed})");
+    assert_eq!(
+        got.chains,
+        chains.len(),
+        "chain count diverged (seed {seed})"
+    );
+    assert_eq!(
+        got.dangling_links, dangling,
+        "dangling count diverged (seed {seed})"
+    );
     assert_eq!(
         got.linked_jobs,
         jobs.len() - chains.len(),
@@ -354,20 +387,30 @@ fn check_chains(case: &AdversarialCase) {
                 .sum::<u64>();
         }
     }
-    assert_eq!(got.length_hist, length_hist, "length histogram diverged (seed {seed})");
-    let want_lengths: Vec<(usize, u64, u64)> = by_length
-        .into_iter()
-        .map(|(l, (c, s))| (l, c, s))
-        .collect();
+    assert_eq!(
+        got.length_hist, length_hist,
+        "length histogram diverged (seed {seed})"
+    );
+    let want_lengths: Vec<(usize, u64, u64)> =
+        by_length.into_iter().map(|(l, (c, s))| (l, c, s)).collect();
     let got_lengths: Vec<(usize, u64, u64)> = got
         .success_by_length
         .iter()
         .map(|r| (r.length, r.chains, r.succeeded))
         .collect();
-    assert_eq!(got_lengths, want_lengths, "success-by-length diverged (seed {seed})");
+    assert_eq!(
+        got_lengths, want_lengths,
+        "success-by-length diverged (seed {seed})"
+    );
     let want_give_up = (failed_chains > 0).then(|| gave_up as f64 / failed_chains as f64);
-    assert_eq!(got.give_up_rate, want_give_up, "give-up rate diverged (seed {seed})");
-    assert_eq!(got.wasted_node_seconds, wasted, "wasted work diverged (seed {seed})");
+    assert_eq!(
+        got.give_up_rate, want_give_up,
+        "give-up rate diverged (seed {seed})"
+    );
+    assert_eq!(
+        got.wasted_node_seconds, wasted,
+        "wasted work diverged (seed {seed})"
+    );
 
     // Gaps go per valid link, against the *named* parent (not the chain
     // predecessor — corrupted logs can fork a chain).
@@ -381,7 +424,10 @@ fn check_chains(case: &AdversarialCase) {
             gap_hist.record((j.queued_at.as_secs() - parent.ended_at.as_secs()).max(0) as u64);
         }
     }
-    assert_eq!(got.gap_hist, gap_hist, "gap histogram diverged (seed {seed})");
+    assert_eq!(
+        got.gap_hist, gap_hist,
+        "gap histogram diverged (seed {seed})"
+    );
 }
 
 /// Checks the sorted columnar per-user engine against the
@@ -391,7 +437,12 @@ fn check_per_user(case: &AdversarialCase) {
         let want = users::per_user_scan(jobs);
         for chunk_rows in [1, 3, 50, DEFAULT_CHUNK_ROWS] {
             let got = per_entity_columnar(jobs, |j| j.user.raw(), chunk_rows);
-            assert_eq!(got.len(), want.len(), "row count diverged (seed {})", case.seed);
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "row count diverged (seed {})",
+                case.seed
+            );
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(
                     (g.id, g.jobs, g.failed, g.node_seconds),
@@ -431,17 +482,28 @@ fn check_sketch(updates: &[(u64, u64)], capacity: usize, what: &str) {
             h.key,
             h.count - t
         );
-        assert!(h.guaranteed() <= t, "{what}: guaranteed floor broken for key {}", h.key);
+        assert!(
+            h.guaranteed() <= t,
+            "{what}: guaranteed floor broken for key {}",
+            h.key
+        );
     }
     let tracked: Vec<u64> = sk.top(usize::MAX).iter().map(|h| h.key).collect();
     for &(k, t) in &exact {
         if t > bound {
-            assert!(tracked.contains(&k), "{what}: heavy key {k} (weight {t}) missing");
+            assert!(
+                tracked.contains(&k),
+                "{what}: heavy key {k} (weight {t}) missing"
+            );
         }
     }
     if truth.len() <= capacity {
         // Never saturated: the sketch *is* the exact ranking.
-        let got: Vec<(u64, u64)> = sk.top(usize::MAX).iter().map(|h| (h.key, h.count)).collect();
+        let got: Vec<(u64, u64)> = sk
+            .top(usize::MAX)
+            .iter()
+            .map(|h| (h.key, h.count))
+            .collect();
         assert_eq!(got, exact, "{what}: unsaturated sketch must be exact");
     }
 }
@@ -471,7 +533,12 @@ fn check_sketch_over_jobs(case: &AdversarialCase) {
 fn check_utilization(case: &AdversarialCase) {
     let got = utilization_series(&case.jobs, &Machine::MIRA, 1);
     let want = utilization::utilization_by_seconds(&case.jobs, &Machine::MIRA, 1);
-    assert_eq!(got.len(), want.len(), "window count diverged (seed {})", case.seed);
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "window count diverged (seed {})",
+        case.seed
+    );
     for (i, ((gt, gv), (wt, wv))) in got.iter().zip(&want).enumerate() {
         assert_eq!(gt, wt, "window {i} start diverged (seed {})", case.seed);
         assert_eq!(

@@ -123,7 +123,10 @@ fn filtered_mtbf_matches_true_incident_gap() {
 #[test]
 fn mtti_counts_system_kills_exactly() {
     let (out, a) = trace();
-    assert_eq!(a.interruptions.interrupted_jobs, out.truth.system_kills.len());
+    assert_eq!(
+        a.interruptions.interrupted_jobs,
+        out.truth.system_kills.len()
+    );
     let mtti = a.interruptions.mtti_days.expect("interruptions exist");
     // 300 days at the calibrated incident gap with ~90% utilization lands
     // in low single-digit days — the paper reports ≈3.5 on 2001 days.
@@ -133,8 +136,7 @@ fn mtti_counts_system_kills_exactly() {
 #[test]
 fn effective_incidents_are_consistent_with_kills() {
     let (out, a) = trace();
-    let effective =
-        effective_incidents(&out.dataset.jobs, &out.dataset.ras, &a.filter.incidents);
+    let effective = effective_incidents(&out.dataset.jobs, &out.dataset.ras, &a.filter.incidents);
     // Every system kill implies a logical failure that hit a running job;
     // the filtered incident set must show at least (roughly) that many
     // effective incidents. (Groups, not raw strikes: the filter merges

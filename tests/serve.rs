@@ -27,10 +27,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bgq_logs::store::LoadOptions;
+use bgq_serve::protocol::{error_reply, MAX_LINE};
 use bgq_serve::{
     epoch_of, parse_query, respond, start, Client, Epoch, EpochStore, Ingestor, ServerOptions,
 };
-use bgq_serve::protocol::{error_reply, MAX_LINE};
 use bgq_sim::{LiveEmitter, SimConfig};
 use proptest::prelude::*;
 
@@ -99,10 +99,16 @@ fn live_daemon_matches_batch_replies_every_epoch() {
         for q in QUERIES {
             let live = client.query(q).expect("live query");
             let batch = respond(&oracle, &parse_query(q).expect("query parses"));
-            assert_eq!(live, batch, "daemon diverges from batch on {q:?} at day {day}");
+            assert_eq!(
+                live, batch,
+                "daemon diverges from batch on {q:?} at day {day}"
+            );
         }
     }
-    assert!(epochs >= 3, "corpus must span at least three epochs, got {epochs}");
+    assert!(
+        epochs >= 3,
+        "corpus must span at least three epochs, got {epochs}"
+    );
     handle.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -190,7 +196,11 @@ fn tcp_survives_random_fragmented_garbage() {
         let mut line: Vec<u8> = (0..len)
             .map(|_| {
                 let b = (rng.next_u64() % 256) as u8;
-                if b == b'\n' { b'#' } else { b }
+                if b == b'\n' {
+                    b'#'
+                } else {
+                    b
+                }
             })
             .collect();
         // A leading '#' guarantees the line can never parse as a query.
@@ -289,12 +299,18 @@ fn soak_concurrent_queries_during_live_appends() {
         })
         .collect();
 
-    let finals: Vec<u64> = clients.into_iter().map(|h| h.join().expect("client")).collect();
+    let finals: Vec<u64> = clients
+        .into_iter()
+        .map(|h| h.join().expect("client"))
+        .collect();
     writer.join().expect("writer");
     // Let the poller catch the final committed day, then stop it.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while store.current().days.len() < total_days {
-        assert!(std::time::Instant::now() < deadline, "poller never caught up");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "poller never caught up"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
