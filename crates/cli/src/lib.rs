@@ -528,7 +528,6 @@ fn cmd_serve(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
     let load = LoadOptions {
         max_reject_ratio: opts.max_reject_ratio.unwrap_or(0.0),
         degraded: true,
-        ..LoadOptions::default()
     };
     // A feed may create DIR only after generating its trace, so a
     // missing DIR is served as epoch 0 like a missing MANIFEST, but a
@@ -647,38 +646,32 @@ fn load(args: &[String], tables: &[&str], opts: &GlobalOpts) -> Result<LoadedDat
     load_dataset(Path::new(dir), tables, opts)
 }
 
-/// Loads a dataset strictly, leniently when `--max-reject-ratio` was
-/// given (damaged rows are skipped and counted; the per-table totals land
-/// in the run manifest via the store's counters), or resiliently when
-/// `--degraded` was given (a missing or over-damaged table is quarantined
-/// and reported via the returned [`SourceAvailability`] instead of
-/// failing the run). Without `--max-reject-ratio` the reject ceiling is
-/// zero, so under `--degraded` one damaged row quarantines its table.
+/// Loads a dataset with a reject ceiling of `--max-reject-ratio` (zero
+/// without it: any damaged row fails the load). Damaged rows under the
+/// ceiling are skipped and counted; the per-table totals land in the run
+/// manifest via the store's counters. Under `--degraded` a missing or
+/// over-damaged table is quarantined and reported via the returned
+/// [`SourceAvailability`] instead of failing the run, so without
+/// `--max-reject-ratio` one damaged row quarantines its table.
 ///
 /// A directory holding a snapshot MANIFEST is loaded through the
-/// columnar snapshot path (same strict/lenient/degraded semantics, with
-/// the reject ceiling enforced per segment), which decodes only the
-/// `tables` the command reads: the others stay empty, and damage in
-/// their segments goes unseen. A table the MANIFEST marks unavailable
-/// still fails a strict load, or is quarantined under `--degraded`,
-/// named or not. Anything else goes through the CSV store, which loads
-/// all four tables.
+/// columnar snapshot path (the reject ceiling is enforced per segment),
+/// which decodes only the `tables` the command reads: the others stay
+/// empty, and damage in their segments goes unseen. A table the MANIFEST
+/// marks unavailable still fails the load, or is quarantined under
+/// `--degraded`, named or not. Anything else goes through the CSV store,
+/// which loads all four tables.
 fn load_dataset(dir: &Path, tables: &[&str], opts: &GlobalOpts) -> Result<LoadedDataset, CliError> {
     let load_opts = LoadOptions {
         max_reject_ratio: opts.max_reject_ratio.unwrap_or(0.0),
         degraded: opts.degraded,
-        ..LoadOptions::default()
     };
     if snapshot::is_snapshot_dir(dir) {
         let (ds, report) = snapshot::read_tables_with(dir, tables, &load_opts)?;
         return Ok((ds, report.load.availability()));
     }
-    if opts.degraded || opts.max_reject_ratio.is_some() {
-        let (ds, report) = Dataset::load_dir_with(dir, &load_opts)?;
-        Ok((ds, report.availability()))
-    } else {
-        Ok((Dataset::load_dir(dir)?, SourceAvailability::ALL))
-    }
+    let (ds, report) = Dataset::load_dir_with(dir, &load_opts)?;
+    Ok((ds, report.availability()))
 }
 
 /// The one analysis path: the index build, every stage, and the
@@ -1802,6 +1795,30 @@ mod tests {
         // A zero ceiling turns the same damage back into an error.
         let err = run(&s(&["--max-reject-ratio", "0", "analyze", &dir_str])).unwrap_err();
         assert!(err.to_string().contains("reject"), "{err}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn strict_csv_load_fails_as_a_zero_reject_ceiling() {
+        let _obs = lock();
+        let dir = temp_dir("strict-csv");
+        let dir_str = dir.to_str().unwrap().to_owned();
+        let intact = gen_with_one_damaged_job_row(&dir);
+
+        // No flag is a zero ceiling: the same load fails the same way.
+        let plain = run(&s(&["--quiet", "analyze", &dir_str])).unwrap_err();
+        let zero = run(&s(&[
+            "--quiet",
+            "--max-reject-ratio",
+            "0",
+            "analyze",
+            &dir_str,
+        ]))
+        .unwrap_err();
+        assert_eq!(plain.to_string(), zero.to_string());
+        let want = format!("table jobs: 1 of {} rows rejected", intact + 1);
+        assert!(plain.to_string().contains(&want), "{plain}");
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -336,20 +336,7 @@ pub fn effective_incidents(
     ras: &[RasRecord],
     incidents: &[FilteredIncident],
 ) -> usize {
-    effective_incidents_with(jobs, ras, incidents, &bgq_logs::join::job_span_index(jobs))
-}
-
-/// [`effective_incidents`] against a prebuilt job-span index (the
-/// [`DatasetIndex`] path, which shares one index across every stage).
-///
-/// [`DatasetIndex`]: crate::index::DatasetIndex
-#[must_use]
-pub(crate) fn effective_incidents_with(
-    jobs: &[JobRecord],
-    ras: &[RasRecord],
-    incidents: &[FilteredIncident],
-    index: &bgq_logs::interval::IntervalIndex,
-) -> usize {
+    let index = bgq_logs::join::job_span_index(jobs);
     // End-INCLUSIVE window check: a system kill ends its victim at
     // exactly the strike time, so the join's usual end-exclusive stab
     // would be blind to precisely the jobs the incident interrupted. A

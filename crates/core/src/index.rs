@@ -31,7 +31,7 @@ use bgq_model::ras::Severity;
 use bgq_model::{IoRecord, JobRecord, RasRecord, Timestamp};
 
 use crate::exitcode::ExitClass;
-use crate::filtering::{effective_incidents_with, filter_events, FilterConfig, FilterOutcome};
+use crate::filtering::{filter_events, FilterConfig, FilterOutcome};
 
 /// Rank of a severity, used to key the per-severity caches.
 fn rank(severity: Severity) -> usize {
@@ -211,14 +211,6 @@ impl<'a> DatasetIndex<'a> {
         self.joins[rank(min_severity)].get()
     }
 
-    /// How many filtered incidents struck hardware that was running a
-    /// job at the time, checking **every member event** of the incident
-    /// against the shared job-span index.
-    #[must_use]
-    pub fn effective_incident_count(&self) -> usize {
-        effective_incidents_with(self.jobs, self.ras, &self.filter.incidents, &self.job_spans)
-    }
-
     /// End times of jobs whose exit class satisfies `keep`, ascending.
     #[must_use]
     pub fn end_times_where(&self, keep: impl Fn(ExitClass) -> bool) -> Vec<Timestamp> {
@@ -348,6 +340,5 @@ mod tests {
         let idx = DatasetIndex::build(&ds);
         assert!(idx.exit_classes.is_empty());
         assert!(idx.join(Severity::Info).is_empty());
-        assert_eq!(idx.effective_incident_count(), 0);
     }
 }

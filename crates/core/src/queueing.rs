@@ -5,12 +5,12 @@
 //! jobs wait far longer than midplane jobs (they need a drained region),
 //! and failure costs must be read against how busy the machine was. This
 //! module computes queue-wait percentiles by job size and by queue class,
-//! plus a windowed utilization series.
+//! plus the machine's mean utilization over the trace.
 
 use std::collections::BTreeMap;
 
 use bgq_model::job::Queue;
-use bgq_model::{JobRecord, Machine, Span, Timestamp};
+use bgq_model::{JobRecord, Machine};
 use bgq_stats::summary::Summary;
 
 /// Queue-wait summary for one group of jobs.
@@ -60,75 +60,6 @@ fn group_waits(jobs: &[JobRecord], key: impl Fn(&JobRecord) -> (u64, String)) ->
         .collect()
 }
 
-/// Machine utilization (node-time busy / capacity) in fixed windows.
-///
-/// Returns `(window_start, utilization)` pairs; utilization is in `[0, 1]`
-/// up to boundary effects from jobs spanning window edges (handled by
-/// clipping each job's interval to the window).
-///
-/// # Panics
-///
-/// Panics if `window_days == 0`.
-pub fn utilization_series(
-    jobs: &[JobRecord],
-    machine: &Machine,
-    window_days: u32,
-) -> Vec<(Timestamp, f64)> {
-    assert!(window_days > 0, "window must be positive");
-    let (Some(start), Some(end)) = (
-        jobs.iter().map(|j| j.started_at).min(),
-        jobs.iter().map(|j| j.ended_at).max(),
-    ) else {
-        return Vec::new();
-    };
-    let window = Span::from_days(i64::from(window_days));
-    // Ceiling division so a span landing exactly on a boundary does not
-    // create an empty trailing window.
-    let n = (((end - start).as_secs() + window.as_secs() - 1) / window.as_secs()).max(1) as usize;
-    let mut busy = vec![0f64; n];
-    for j in jobs {
-        // Distribute the job's node-seconds over every window it overlaps.
-        let (first, last) = job_window_range(j, start, window);
-        for (w, slot) in busy
-            .iter_mut()
-            .enumerate()
-            .take(last.min(n - 1) + 1)
-            .skip(first)
-        {
-            let w_start = start + Span::from_secs(window.as_secs() * w as i64);
-            let w_end = w_start + window;
-            let lo = j.started_at.max(w_start);
-            let hi = j.ended_at.min(w_end);
-            let secs = (hi - lo).as_secs().max(0) as f64;
-            *slot += secs * f64::from(j.nodes);
-        }
-    }
-    let capacity = machine.total_nodes() as f64 * window.as_secs() as f64;
-    busy.into_iter()
-        .enumerate()
-        .map(|(w, node_secs)| {
-            (
-                start + Span::from_secs(window.as_secs() * w as i64),
-                node_secs / capacity,
-            )
-        })
-        .collect()
-}
-
-/// Inclusive range of window indices a job's `[started_at, ended_at)`
-/// interval is attributed to.
-///
-/// A zero-duration job sitting exactly on a window boundary makes the
-/// naive `last` computation (`(ended - start - 1) / window`) land one
-/// window *before* `first`, producing an inverted (empty) range that
-/// silently dropped instant jobs from the per-window loop — hence the
-/// final clamp.
-fn job_window_range(j: &JobRecord, start: Timestamp, window: Span) -> (usize, usize) {
-    let first = ((j.started_at - start).as_secs().max(0) / window.as_secs()) as usize;
-    let last = (((j.ended_at - start).as_secs() - 1).max(0) / window.as_secs()) as usize;
-    (first, last.max(first))
-}
-
 /// Mean utilization over the whole trace.
 pub fn mean_utilization(jobs: &[JobRecord], machine: &Machine) -> Option<f64> {
     let (start, end) = (
@@ -145,7 +76,7 @@ mod tests {
     use super::*;
     use bgq_model::ids::{JobId, ProjectId, UserId};
     use bgq_model::job::Mode;
-    use bgq_model::Block;
+    use bgq_model::{Block, Timestamp};
 
     fn job(nodes: u32, queue: Queue, queued: i64, start: i64, end: i64) -> JobRecord {
         JobRecord {
@@ -195,7 +126,7 @@ mod tests {
 
     #[test]
     fn utilization_of_a_fully_busy_machine() {
-        // One job occupying the whole machine for exactly two windows.
+        // One job occupying the whole machine for two days.
         let machine = Machine::MIRA;
         let day = 86_400;
         let jobs = vec![job(
@@ -205,77 +136,11 @@ mod tests {
             0,
             2 * day,
         )];
-        let series = utilization_series(&jobs, &machine, 1);
-        assert_eq!(series.len(), 2);
-        assert!((series[0].1 - 1.0).abs() < 1e-9);
-        assert!((series[1].1 - 1.0).abs() < 1e-9);
         assert!((mean_utilization(&jobs, &machine).unwrap() - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    fn utilization_clips_jobs_at_window_edges() {
-        let machine = Machine::MIRA;
-        let day = 86_400;
-        // A 1-node anchor job pins the series origin to t = 0; the
-        // half-machine job then straddles the boundary between windows 0
-        // and 1, contributing a quarter of capacity to each.
-        let jobs = vec![
-            job(512, Queue::Debug, 0, 0, 2 * day),
-            job(
-                machine.total_nodes() as u32 / 2,
-                Queue::Production,
-                0,
-                day / 2,
-                day + day / 2,
-            ),
-        ];
-        let anchor_share = 512.0 / machine.total_nodes() as f64;
-        let series = utilization_series(&jobs, &machine, 1);
-        assert_eq!(series.len(), 2);
-        assert!((series[0].1 - 0.25 - anchor_share).abs() < 1e-9);
-        assert!((series[1].1 - 0.25 - anchor_share).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_duration_job_on_a_window_boundary_is_attributed() {
-        let day = 86_400;
-        let window = Span::from_days(1);
-        let origin = Timestamp::from_secs(0);
-        // Instant job exactly on the boundary between windows 0 and 1.
-        // Pre-fix, `last` computed as `(day - 1) / day = 0` while
-        // `first = 1`, an inverted range that dropped the job entirely.
-        let instant = job(512, Queue::Production, 0, day, day);
-        assert_eq!(job_window_range(&instant, origin, window), (1, 1));
-        // An instant job at the origin stays in window 0.
-        let at_origin = job(512, Queue::Production, 0, 0, 0);
-        assert_eq!(job_window_range(&at_origin, origin, window), (0, 0));
-        // Positive-duration jobs are unaffected by the clamp.
-        let spanning = job(512, Queue::Production, 0, day / 2, day + day / 2);
-        assert_eq!(job_window_range(&spanning, origin, window), (0, 1));
-        // Through the public API: the instant job contributes zero
-        // node-seconds and must not disturb or panic the series — even
-        // when it lands on the very last boundary of the trace.
-        let machine = Machine::MIRA;
-        let jobs = vec![
-            job(
-                machine.total_nodes() as u32,
-                Queue::Capability,
-                0,
-                0,
-                2 * day,
-            ),
-            job(512, Queue::Production, 0, day, day),
-            job(512, Queue::Production, 0, 2 * day, 2 * day),
-        ];
-        let series = utilization_series(&jobs, &machine, 1);
-        assert_eq!(series.len(), 2);
-        assert!((series[0].1 - 1.0).abs() < 1e-9);
-        assert!((series[1].1 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_inputs() {
-        assert!(utilization_series(&[], &Machine::MIRA, 1).is_empty());
         assert!(mean_utilization(&[], &Machine::MIRA).is_none());
         assert!(waits_by_size(&[]).is_empty());
     }

@@ -42,16 +42,6 @@ impl JoinResult {
         v
     }
 
-    /// Events that hit at least one job, as sorted deduplicated indices.
-    #[must_use]
-    pub fn effective_events(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = Vec::with_capacity(self.pairs.len());
-        v.extend(self.pairs.iter().map(|a| a.event_idx));
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Number of attribution pairs.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -222,7 +212,6 @@ mod tests {
             }]
         );
         assert_eq!(join.affected_jobs(), vec![0]);
-        assert_eq!(join.effective_events(), vec![0]);
     }
 
     #[test]

@@ -1627,7 +1627,6 @@ impl DecodedRows {
 pub fn read_dir(root: &Path) -> Result<(Dataset, PartitionMap), SnapshotError> {
     let opts = LoadOptions {
         max_reject_ratio: 0.0,
-        max_retries: 0,
         degraded: false,
     };
     let (ds, report) = read_dir_with(root, &opts)?;
@@ -2117,7 +2116,6 @@ mod tests {
         let opts = LoadOptions {
             max_reject_ratio: 0.5,
             degraded: true,
-            ..LoadOptions::default()
         };
         let (loaded, report) = read_dir_with(&root, &opts).unwrap();
         assert_eq!(loaded.ras.len(), 2);
@@ -2134,7 +2132,6 @@ mod tests {
         let opts = LoadOptions {
             max_reject_ratio: 0.0,
             degraded: true,
-            ..LoadOptions::default()
         };
         let (loaded, report) = read_dir_with(&root, &opts).unwrap();
         assert_eq!(loaded.ras.len(), 1);
@@ -2584,7 +2581,6 @@ mod tests {
     fn strict() -> LoadOptions {
         LoadOptions {
             max_reject_ratio: 0.0,
-            max_retries: 0,
             degraded: false,
         }
     }

@@ -1,22 +1,20 @@
 //! The on-disk dataset: four CSV tables in one directory.
 //!
-//! Two loading disciplines share one scanner:
+//! Every load runs one body, [`Dataset::load_dir_with`]: damaged rows
+//! are counted and skipped up to a per-table ceiling, transient I/O
+//! failures are retried by re-scanning the table from scratch (at most
+//! [`MAX_RETRIES`] times), and (when [`LoadOptions::degraded`] allows
+//! it) a table that cannot be loaded at all — missing file, persistent
+//! I/O failure, unusable header, or reject ceiling exceeded — is
+//! **quarantined**: dropped from the dataset and recorded in the
+//! [`LoadReport`] instead of failing the whole load. Downstream,
+//! [`SourceAvailability`] tells the analysis layer which tables it may
+//! trust. [`Dataset::load_dir`] is that load at zero tolerance, for data
+//! you wrote yourself a moment ago: the first damaged row fails it.
 //!
-//! * **Strict** ([`Dataset::load_dir`]) — the first damaged row fails
-//!   the load. For data you wrote yourself a moment ago.
-//! * **Resilient** ([`Dataset::load_dir_with`]) — damaged rows are
-//!   counted and skipped up to a per-table ceiling, transient I/O
-//!   failures are retried by re-scanning the table from scratch, and
-//!   (when [`LoadOptions::degraded`] allows it) a table that cannot be
-//!   loaded at all — missing file, persistent I/O failure, unusable
-//!   header, or reject ceiling exceeded — is **quarantined**: dropped
-//!   from the dataset and recorded in the [`LoadReport`] instead of
-//!   failing the whole load. Downstream, [`SourceAvailability`] tells
-//!   the analysis layer which tables it may trust.
-//!
-//! The resilient path reads through the [`TableSource`] indirection, so
-//! the chaos harness (`bgq-chaos`) can inject `io::Error`s under the
-//! CSV scanner without touching the filesystem.
+//! Loads read through the [`TableSource`] indirection, so the chaos
+//! harness (`bgq-chaos`) can inject `io::Error`s under the CSV scanner
+//! without touching the filesystem.
 
 use std::fmt;
 use std::fs::File;
@@ -64,7 +62,7 @@ pub enum StoreError {
         /// Underlying I/O error.
         source: std::io::Error,
     },
-    /// Too many rows of one table were rejected during a lenient load.
+    /// Too many rows of one table were rejected.
     RejectRatio {
         /// Table (file stem) involved.
         table: &'static str,
@@ -109,7 +107,12 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// Options for the resilient loading path ([`Dataset::load_dir_with`]).
+/// Re-open/re-scan attempts per table after a transient I/O failure (an
+/// `io::Error` from the underlying reader mid-scan, or a non-`NotFound`
+/// open failure) before the table fails or is quarantined.
+pub const MAX_RETRIES: u32 = 2;
+
+/// Options for a dataset load ([`Dataset::load_dir_with`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadOptions {
     /// Maximum tolerated rejected-row ratio per table (rejected rows over
@@ -125,10 +128,6 @@ pub struct LoadOptions {
     /// lands exactly on the ceiling still loads, and a `NaN` ceiling is
     /// treated as `0.0` rather than silently disabling the guard.
     pub max_reject_ratio: f64,
-    /// Re-open/re-scan attempts per table after a transient I/O failure
-    /// (an `io::Error` from the underlying reader mid-scan, or a
-    /// non-`NotFound` open failure). `0` fails on the first error.
-    pub max_retries: u32,
     /// Quarantine a table that cannot be loaded — missing file,
     /// persistent I/O failure, unusable header, or reject ceiling
     /// exceeded — instead of failing the whole load. The table comes
@@ -156,7 +155,6 @@ impl Default for LoadOptions {
     fn default() -> Self {
         LoadOptions {
             max_reject_ratio: 0.01,
-            max_retries: 2,
             degraded: false,
         }
     }
@@ -195,7 +193,7 @@ pub enum TableStatus {
     Quarantined(QuarantineReason),
 }
 
-/// Per-table outcome of a resilient load.
+/// Per-table outcome of a load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableLoadStats {
     /// Table (file stem) the stats describe.
@@ -305,7 +303,7 @@ impl Default for SourceAvailability {
     }
 }
 
-/// What a resilient load accepted, rejected, and quarantined, per table
+/// What a load accepted, rejected, and quarantined, per table
 /// — the run manifest surfaces these totals as provenance.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadReport {
@@ -469,33 +467,33 @@ impl Dataset {
         Ok(())
     }
 
-    /// Loads a dataset previously written by [`Dataset::save_dir`].
+    /// Loads a dataset previously written by [`Dataset::save_dir`] at
+    /// zero tolerance: [`Dataset::load_dir_with`] with no damaged row
+    /// allowed and no table quarantined.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError`] on a missing file, an unusable header, an
+    /// I/O failure that outlasts [`MAX_RETRIES`] re-scans, or any damaged
+    /// row ([`StoreError::RejectRatio`]).
+    pub fn load_dir(dir: &Path) -> Result<Self, StoreError> {
+        let opts = LoadOptions {
+            max_reject_ratio: 0.0,
+            degraded: false,
+        };
+        Self::load_dir_with(dir, &opts).map(|(ds, _)| ds)
+    }
+
+    /// Loads a dataset: damaged rows are counted and skipped instead of
+    /// failing the whole load, up to `opts.max_reject_ratio` per table;
+    /// transient I/O failures are retried (up to [`MAX_RETRIES`]
+    /// re-scans per table); and under `opts.degraded` an unloadable
+    /// table is quarantined instead of failing the load.
     ///
     /// The result is always in canonical order ([`Dataset::normalize`])
     /// regardless of the row order on disk: the persistence boundary
     /// pins the order contract, so a dataset saved before normalization
     /// and one saved after load identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] on missing files, malformed CSV, or rows that
-    /// fail schema validation.
-    pub fn load_dir(dir: &Path) -> Result<Self, StoreError> {
-        let mut ds = Dataset {
-            jobs: load_table(dir)?,
-            ras: load_table(dir)?,
-            tasks: load_table(dir)?,
-            io: load_table(dir)?,
-        };
-        ds.normalize();
-        Ok(ds)
-    }
-
-    /// Resilient load: damaged rows are counted and skipped instead of
-    /// failing the whole load, up to `opts.max_reject_ratio` per table;
-    /// transient I/O failures are retried (up to `opts.max_retries`
-    /// re-scans per table); and under `opts.degraded` an unloadable
-    /// table is quarantined instead of failing the load.
     ///
     /// Every accepted and rejected row is also recorded in the bgq-obs
     /// collector (`store.rows` / `store.rejected` / `store.quarantined`,
@@ -526,13 +524,11 @@ impl Dataset {
     ) -> Result<(Self, LoadReport), StoreError> {
         let mut report = LoadReport::default();
         let mut ds = Dataset {
-            jobs: load_table_resilient(source, opts, &mut report)?,
-            ras: load_table_resilient(source, opts, &mut report)?,
-            tasks: load_table_resilient(source, opts, &mut report)?,
-            io: load_table_resilient(source, opts, &mut report)?,
+            jobs: load_table(source, opts, &mut report)?,
+            ras: load_table(source, opts, &mut report)?,
+            tasks: load_table(source, opts, &mut report)?,
+            io: load_table(source, opts, &mut report)?,
         };
-        // Same canonical-order contract as the strict path: what a load
-        // returns is normalized, whatever order the rows had on disk.
         ds.normalize();
         Ok((ds, report))
     }
@@ -590,22 +586,6 @@ fn save_table<R: Record>(dir: &Path, rows: &[R]) -> Result<(), StoreError> {
     Ok(())
 }
 
-fn open_scanner<R: Record>(dir: &Path) -> Result<CsvScanner<BufReader<File>>, StoreError> {
-    let path = table_path(dir, R::TABLE);
-    let file = File::open(&path).map_err(|source| StoreError::Io {
-        path: path.display().to_string(),
-        source,
-    })?;
-    Ok(CsvScanner::new(BufReader::new(file)))
-}
-
-fn wrap_csv<R: Record>(source: CsvError) -> StoreError {
-    StoreError::Csv {
-        table: R::TABLE,
-        source,
-    }
-}
-
 /// The header-level error for a table with no header row at all.
 fn missing_header<R: Record>() -> SchemaError {
     SchemaError {
@@ -622,38 +602,9 @@ fn resolve_header<R: Record>(header: crate::csv::RecordView<'_>) -> Result<Colum
     ColumnMap::resolve::<R>(&names)
 }
 
-/// Streaming strict load: records are decoded as the scanner yields them
-/// (one reused record buffer, no materialized `Vec<Vec<String>>`); the
-/// first malformed line or undecodable row fails the load.
-///
-/// Publishes the same per-table ingest telemetry as the resilient path
-/// (`store.rows` plus the `store.row_bytes` / `store.reject_permille`
-/// histograms — the latter always 0‰ here, since any damaged row fails
-/// the load outright).
-fn load_table<R: Record>(dir: &Path) -> Result<Vec<R>, StoreError> {
-    let mut scanner = open_scanner::<R>(dir)?;
-    let cols = match scanner.read_record().map_err(wrap_csv::<R>)? {
-        Some(header) => resolve_header::<R>(header)?,
-        None => return Err(missing_header::<R>().into()),
-    };
-    let mut out = Vec::new();
-    let mut row_bytes = bgq_obs::Histogram::new();
-    while let Some(view) = scanner.read_record().map_err(wrap_csv::<R>)? {
-        let payload = view.byte_len() as u64;
-        out.push(R::decode_fields(&view, &cols)?);
-        if bgq_obs::enabled() {
-            row_bytes.record(payload);
-        }
-    }
-    publish_table_hists::<R>(&row_bytes, 0);
-    bgq_obs::add_labeled("store.rows", R::TABLE, out.len() as u64);
-    Ok(out)
-}
-
 /// Publishes the per-table ingest histograms for one completed scan:
 /// the accepted-row payload-size distribution and the rejected-row rate
-/// in permille. Shared by the strict and resilient load paths so
-/// directory loads carry the same data-shape provenance either way.
+/// in permille.
 fn publish_table_hists<R: Record>(row_bytes: &bgq_obs::Histogram, rejected: usize) {
     if !bgq_obs::enabled() {
         return;
@@ -761,10 +712,10 @@ fn push_quarantined(report: &mut LoadReport, mut stats: TableLoadStats, reason: 
     report.tables.push(stats);
 }
 
-/// Resilient per-table load: bounded retry on transient I/O failures,
+/// Per-table load: bounded retry on transient I/O failures,
 /// reject-ceiling enforcement (NaN clamps to zero tolerance), and —
 /// when `opts.degraded` — quarantine instead of failure.
-fn load_table_resilient<R: Record>(
+fn load_table<R: Record>(
     source: &dyn TableSource,
     opts: &LoadOptions,
     report: &mut LoadReport,
@@ -784,15 +735,12 @@ fn load_table_resilient<R: Record>(
             Ok(outcome) => break outcome,
             Err(f) => f,
         };
-        if matches!(failure, ScanFailure::Open(_) | ScanFailure::Read(_))
-            && retries < opts.max_retries
-        {
+        if matches!(failure, ScanFailure::Open(_) | ScanFailure::Read(_)) && retries < MAX_RETRIES {
             retries += 1;
             bgq_obs::add_labeled("store.retries", R::TABLE, 1);
             bgq_obs::warn!(
-                "table {}: transient i/o failure, retry {retries} of {}",
-                R::TABLE,
-                opts.max_retries
+                "table {}: transient i/o failure, retry {retries} of {MAX_RETRIES}",
+                R::TABLE
             );
             continue;
         }
@@ -975,7 +923,12 @@ mod tests {
         let dir = corrupted_dir("strict");
         assert!(matches!(
             Dataset::load_dir(&dir).unwrap_err(),
-            StoreError::Schema(_)
+            StoreError::RejectRatio {
+                table: "jobs",
+                rejected: 1,
+                scanned: 3,
+                ..
+            }
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1049,7 +1002,6 @@ mod tests {
         let opts = LoadOptions {
             max_reject_ratio: 0.0,
             degraded: true,
-            ..LoadOptions::default()
         };
         let (ds, report) = Dataset::load_dir_with(&dir, &opts).unwrap();
         assert!(ds.jobs.is_empty(), "quarantined table comes back empty");
@@ -1223,7 +1175,7 @@ mod tests {
         assert!(loaded.jobs.is_empty());
         for t in &report.tables {
             assert_eq!(t.status, TableStatus::Quarantined(QuarantineReason::Io));
-            assert_eq!(t.retries, LoadOptions::default().max_retries);
+            assert_eq!(t.retries, MAX_RETRIES);
         }
         assert!(!report.availability().is_complete());
         std::fs::remove_dir_all(&dir).unwrap();

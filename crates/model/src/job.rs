@@ -194,12 +194,6 @@ impl JobRecord {
     pub fn succeeded(&self) -> bool {
         self.exit_code == 0
     }
-
-    /// `true` if the job used at least the requested wall time (within
-    /// `slack_s` seconds), i.e. it plausibly hit the walltime limit.
-    pub fn hit_walltime(&self, slack_s: i64) -> bool {
-        self.runtime().as_secs() + slack_s >= i64::from(self.requested_walltime_s)
-    }
 }
 
 #[cfg(test)]
@@ -242,15 +236,6 @@ mod tests {
         assert_eq!(j.core_hours(), 1024.0 * 16.0 * 0.5);
         assert_eq!(j.node_seconds(), 1024 * 1800);
         assert!(j.succeeded());
-        assert!(!j.hit_walltime(0));
-    }
-
-    #[test]
-    fn walltime_detection_with_slack() {
-        let mut j = sample();
-        j.ended_at = j.started_at + Span::from_secs(3595);
-        assert!(j.hit_walltime(10));
-        assert!(!j.hit_walltime(0));
     }
 
     #[test]

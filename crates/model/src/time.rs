@@ -86,11 +86,6 @@ impl Span {
     pub fn as_days(self) -> f64 {
         self.0 as f64 / SECS_PER_DAY as f64
     }
-
-    /// `true` if the span is negative.
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
 }
 
 impl fmt::Display for Span {
@@ -212,11 +207,6 @@ impl Timestamp {
         ((self.day_number() + 3).rem_euclid(7)) as u32
     }
 
-    /// `true` if this instant falls on Saturday or Sunday (UTC).
-    pub fn is_weekend(self) -> bool {
-        self.day_of_week() >= 5
-    }
-
     /// Time elapsed from `earlier` to `self` (may be negative).
     pub fn since(self, earlier: Timestamp) -> Span {
         Span(self.0 - earlier.0)
@@ -331,7 +321,6 @@ mod tests {
     #[test]
     fn epoch_was_a_thursday() {
         assert_eq!(Timestamp::UNIX_EPOCH.day_of_week(), 3);
-        assert!(!Timestamp::UNIX_EPOCH.is_weekend());
     }
 
     #[test]
@@ -400,7 +389,7 @@ mod tests {
         let later = t + Span::from_days(2001);
         assert_eq!((later - t).as_days(), 2001.0);
         assert_eq!(later.since(t).as_secs(), 2001 * SECS_PER_DAY);
-        assert!(t.since(later).is_negative());
+        assert!(t.since(later).as_secs() < 0);
     }
 
     #[test]
@@ -408,7 +397,6 @@ mod tests {
         let t = Timestamp::from_ymd_hms(2013, 4, 13, 23, 59, 59); // Saturday
         assert_eq!(t.hour_of_day(), 23);
         assert_eq!(t.day_of_week(), 5);
-        assert!(t.is_weekend());
     }
 
     #[test]

@@ -113,16 +113,6 @@ impl Histogram {
         *self.slot(bucket_index(v)) += 1;
     }
 
-    /// Records `n` occurrences of `v` at once.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.count += n;
-        self.sum = self.sum.saturating_add(v.saturating_mul(n));
-        *self.slot(bucket_index(v)) += n;
-    }
-
     /// Folds `other` into `self` (bucket-wise sum; order-independent).
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
@@ -380,18 +370,6 @@ mod tests {
         let mut one = Histogram::new();
         one.record(42);
         assert_eq!(one.quantile(1.5), None);
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Histogram::new();
-        a.record_n(17, 5);
-        a.record_n(9, 0);
-        let mut b = Histogram::new();
-        for _ in 0..5 {
-            b.record(17);
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Seeded adversarial case generation.
 //!
 //! Uniform random inputs almost never land on the seams where fast
-//! paths break: values *exactly* on bin edges, jobs of zero duration
-//! sitting on window boundaries, events timestamped before any job
-//! started, NaN and infinite attribute values, samples that are one
-//! giant tie. This module generates cases that oversample exactly those
+//! paths break: values *exactly* on decimal and decade boundaries, jobs
+//! of zero duration sitting on day boundaries, events timestamped before
+//! any job started, NaN and infinite attribute values, samples that are
+//! one giant tie. This module generates cases that oversample exactly those
 //! seams, deterministically from a seed, so the differential suite can
 //! pin a fixed corpus in CI and reproduce any divergence by number.
 
@@ -55,9 +55,10 @@ impl CaseRng {
 pub struct AdversarialCase {
     /// The seed that regenerates this case exactly.
     pub seed: u64,
-    /// Float samples peppered with exact bin edges, ties, NaN, and ±∞.
+    /// Float samples peppered with exact tenths, powers of ten, ties, NaN,
+    /// and ±∞.
     pub samples: Vec<f64>,
-    /// Jobs including zero-duration and window-boundary-aligned runs.
+    /// Jobs including zero-duration and day-boundary-aligned runs.
     pub jobs: Vec<JobRecord>,
     /// Jobs carrying `resubmit_of` lineage: real backward chains mixed
     /// with dangling, self-referential, and forward links. Fed only to
@@ -113,8 +114,8 @@ const DAY: i64 = 86_400;
 
 /// Generates the adversarial case for `seed`.
 ///
-/// Time ranges are kept within a few days so even the per-second
-/// utilization reference stays cheap.
+/// Time ranges are kept within a few days so even the quadratic
+/// references stay cheap.
 #[must_use]
 pub fn generate(seed: u64) -> AdversarialCase {
     let mut rng = CaseRng::new(seed);
@@ -133,12 +134,13 @@ fn gen_samples(rng: &mut CaseRng) -> Vec<f64> {
     let n = 8 + rng.below(24) as usize;
     for _ in 0..n {
         let v = match rng.below(10) {
-            // Exact linear edges of [0, 1) × 10 bins, computed both ways:
-            // k/10 (the representable edge) and k·0.1 (the drifted form
-            // the old binning mis-assigned).
+            // Tenths of [0, 1], computed both ways: k/10 (correctly
+            // rounded) and k·0.1 (the drifted form), so near-ties that
+            // differ only in the last bit reach the rank and quantile
+            // pairings.
             0 => rng.below(11) as f64 / 10.0,
             1 => rng.below(11) as f64 * 0.1,
-            // Powers of ten: the edges of every log-decade layout.
+            // Powers of ten: one value per decade from 1e-3 to 1e3.
             2 => 10f64.powi(rng.below(7) as i32 - 3),
             // Heavy ties: a tiny value pool.
             3 | 4 => f64::from(u32::try_from(rng.below(3)).expect("small")),
@@ -151,7 +153,7 @@ fn gen_samples(rng: &mut CaseRng) -> Vec<f64> {
                     f64::NEG_INFINITY
                 }
             }
-            // Negatives (underflow side of nonnegative layouts).
+            // Negatives.
             7 => -rng.unit() * 10.0,
             // Plain uniform filler.
             _ => rng.unit() * 12.0 - 1.0,
@@ -170,7 +172,7 @@ fn gen_jobs(rng: &mut CaseRng) -> Vec<JobRecord> {
             let start_mp = rng.below(max_mp - u64::from(len)) as u16;
             let block = Block::new(start_mp, len).expect("in range");
             let start = match rng.below(4) {
-                // Aligned to a window boundary (including the origin).
+                // Aligned to a day boundary (including the origin).
                 0 => DAY * rng.below(3) as i64,
                 // One second shy of / past a boundary.
                 1 => DAY * (1 + rng.below(2) as i64) - 1,
@@ -230,7 +232,7 @@ fn gen_events(rng: &mut CaseRng) -> Vec<RasRecord> {
             let t = match rng.below(5) {
                 // Before any job can have started (pre-origin stab).
                 0 => -(1 + rng.below(2 * DAY as u64) as i64),
-                // Window/job boundaries.
+                // Day and job boundaries.
                 1 => DAY * rng.below(4) as i64,
                 // Far past the last job.
                 2 => 10 * DAY + rng.below(DAY as u64) as i64,

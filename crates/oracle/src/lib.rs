@@ -1,12 +1,13 @@
 //! Naive reference implementations for differential testing.
 //!
-//! Every production fast path in the toolkit — bucketed histogram
-//! binning, the interval stabbing index, the indexed temporal–spatial
-//! join, windowed utilization — exists because the obvious implementation
-//! is too slow at 2001-day scale. This crate keeps the obvious
-//! implementations around: each function here is written for
-//! *transparency*, not speed (linear scans, quadratic joins, per-second
-//! stepping), so it can serve as the trusted side of a differential test.
+//! Every production fast path in the toolkit — sorted-rank order
+//! statistics and Spearman correlation, the interval stabbing index, the
+//! indexed temporal–spatial join, the retry-chain miner, the columnar
+//! per-user engine and the heavy-hitter sketch — exists because the
+//! obvious implementation is too slow at 2001-day scale. This crate keeps
+//! the obvious implementations around: each function here is written for
+//! *transparency*, not speed (counted ranks, linear scans, quadratic
+//! joins), so it can serve as the trusted side of a differential test.
 //!
 //! The rules for code in this crate:
 //!
@@ -24,10 +25,8 @@
 //! (`tests/oracle.rs`); [`cases`] generates the seeded adversarial
 //! inputs it feeds to both sides.
 
-pub mod binning;
 pub mod cases;
 pub mod join;
 pub mod ranking;
 pub mod stabbing;
 pub mod users;
-pub mod utilization;

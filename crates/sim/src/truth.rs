@@ -29,17 +29,6 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// True mean gap between consecutive incidents, in days; `None` with
-    /// fewer than two incidents.
-    pub fn true_incident_mtbf_days(&self) -> Option<f64> {
-        if self.incidents.len() < 2 {
-            return None;
-        }
-        let first = self.incidents.first().expect("len >= 2").time;
-        let last = self.incidents.last().expect("len >= 2").time;
-        Some((last - first).as_days() / (self.incidents.len() - 1) as f64)
-    }
-
     /// Number of *logical* failures: an incident and its aftershocks count
     /// once. This is what the similarity filter should recover.
     pub fn logical_incident_count(&self) -> usize {
@@ -104,30 +93,6 @@ mod tests {
             scope: IncidentScope::Rack,
             group,
         }
-    }
-
-    #[test]
-    fn mtbf_from_incident_gaps() {
-        let truth = GroundTruth {
-            incidents: vec![incident(0), incident(86_400), incident(3 * 86_400)],
-            lemon_boards: vec![],
-            mode_dists: vec![],
-            system_kills: vec![],
-            user_bug_rates: vec![],
-        };
-        assert_eq!(truth.true_incident_mtbf_days(), Some(1.5));
-    }
-
-    #[test]
-    fn mtbf_undefined_for_single_incident() {
-        let truth = GroundTruth {
-            incidents: vec![incident(0)],
-            lemon_boards: vec![],
-            mode_dists: vec![],
-            system_kills: vec![],
-            user_bug_rates: vec![],
-        };
-        assert_eq!(truth.true_incident_mtbf_days(), None);
     }
 
     #[test]

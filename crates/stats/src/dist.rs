@@ -492,11 +492,6 @@ impl Dist {
         }
     }
 
-    /// Survival function `1 − cdf(x)`.
-    pub fn sf(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
-    }
-
     /// Mean of the distribution; `inf` where undefined (Pareto α ≤ 1).
     pub fn mean(&self) -> f64 {
         match *self {

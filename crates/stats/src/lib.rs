@@ -7,14 +7,17 @@
 //! R/Python stacks the authors used, so this crate implements the needed
 //! subset from scratch:
 //!
-//! * [`special`] — log-gamma, digamma, erf, normal CDF/quantile,
-//!   regularized incomplete gamma;
+//! * [`special`] — log-gamma, digamma, erf, normal CDF, regularized
+//!   incomplete gamma;
 //! * [`dist`] — the eight-distribution zoo with pdf/cdf/moments/sampling;
 //! * [`fit`] — maximum-likelihood estimation per family;
+//! * [`censor`] — right-censored fits (the start of truncation-aware
+//!   fitting);
 //! * [`gof`] — KS test and best-fit model selection;
-//! * [`correlation`] — Pearson, Spearman, Kendall;
-//! * [`ecdf`], [`histogram`], [`summary`], [`bootstrap`] — descriptive
-//!   machinery for the figures.
+//! * [`correlation`] — Pearson, Spearman;
+//! * [`summary`], [`bootstrap`] — descriptive statistics, Gini and top-k
+//!   concentration, percentile-bootstrap intervals;
+//! * [`topk`] — the space-saving heavy-hitter sketch.
 //!
 //! # Examples
 //!
@@ -37,23 +40,17 @@ pub mod bootstrap;
 pub mod censor;
 pub mod correlation;
 pub mod dist;
-pub mod ecdf;
 pub mod fit;
 pub mod gof;
-pub mod hazard;
-pub mod histogram;
 pub mod special;
 pub mod summary;
 pub mod topk;
 
 pub use bootstrap::{bootstrap_ci, BootstrapCi};
 pub use censor::{fit_exponential_censored, fit_weibull_censored, Censored};
-pub use correlation::{kendall_tau, pearson, spearman};
+pub use correlation::{pearson, spearman};
 pub use dist::{Dist, DistKind};
-pub use ecdf::Ecdf;
 pub use fit::FitError;
 pub use gof::{ks_p_value, ks_statistic, select_best, GofResult, ModelSelection};
-pub use hazard::{binned_hazard, hazard_trend, nelson_aalen};
-pub use histogram::Histogram;
-pub use summary::{gini, lorenz_curve, top_k_share, Summary};
+pub use summary::{gini, top_k_share, Summary};
 pub use topk::{HeavyHitter, SpaceSaving};

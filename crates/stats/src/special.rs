@@ -2,7 +2,7 @@
 //!
 //! Everything the distribution zoo needs, implemented from scratch:
 //! log-gamma (Lanczos), digamma, the error function, the standard normal
-//! CDF and quantile, and the regularized incomplete gamma function. Each
+//! CDF, and the regularized incomplete gamma function. Each
 //! implementation cites the standard source of its coefficients and is
 //! validated against high-precision reference values in the tests.
 
@@ -98,69 +98,6 @@ pub fn erfc(x: f64) -> f64 {
 /// Standard normal cumulative distribution function `Φ(x)`.
 pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Standard normal quantile function `Φ⁻¹(p)` for `p ∈ (0, 1)`.
-///
-/// Acklam's rational approximation refined by one Halley step; relative
-/// error below `1e-12`.
-///
-/// # Panics
-///
-/// Panics if `p` is outside the open interval `(0, 1)`.
-pub fn std_normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "quantile requires p in (0,1), got {p}");
-    // Acklam coefficients.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.024_25;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley refinement step.
-    let e = std_normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
 }
 
 /// Lower regularized incomplete gamma function `P(a, x) = γ(a, x)/Γ(a)` for
@@ -330,20 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_quantile_inverts_cdf() {
-        for &p in &[1e-9, 1e-4, 0.01, 0.3, 0.5, 0.7, 0.975, 0.9999, 1.0 - 1e-9] {
-            let x = std_normal_quantile(p);
-            assert_close(std_normal_cdf(x), p, 1e-9, "Φ(Φ⁻¹(p))");
-        }
-        assert_close(
-            std_normal_quantile(0.975),
-            1.959_963_984_540_054,
-            1e-9,
-            "Φ⁻¹(0.975)",
-        );
-    }
-
-    #[test]
     fn regularized_gamma_reference_values() {
         // P(1, x) = 1 − e^{-x}.
         for &x in &[0.1, 1.0, 3.0, 10.0] {
@@ -385,11 +308,5 @@ mod tests {
     #[should_panic(expected = "requires x > 0")]
     fn ln_gamma_rejects_nonpositive() {
         ln_gamma(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires p in (0,1)")]
-    fn quantile_rejects_boundary() {
-        std_normal_quantile(1.0);
     }
 }

@@ -167,30 +167,6 @@ pub fn gini(data: &[f64]) -> Option<f64> {
     Some((2.0 * weighted / (n * total) - (n + 1.0) / n).max(0.0))
 }
 
-/// Lorenz curve of a non-negative sample: points `(population share,
-/// value share)` in ascending value order, starting at `(0, 0)`.
-pub fn lorenz_curve(data: &[f64]) -> Vec<(f64, f64)> {
-    let mut vals: Vec<f64> = data
-        .iter()
-        .copied()
-        .filter(|x| x.is_finite() && *x >= 0.0)
-        .collect();
-    vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let total: f64 = vals.iter().sum();
-    let n = vals.len() as f64;
-    if vals.is_empty() || total <= 0.0 {
-        return vec![(0.0, 0.0)];
-    }
-    let mut points = Vec::with_capacity(vals.len() + 1);
-    points.push((0.0, 0.0));
-    let mut cum = 0.0;
-    for (i, &x) in vals.iter().enumerate() {
-        cum += x;
-        points.push(((i as f64 + 1.0) / n, cum / total));
-    }
-    points
-}
-
 /// Share of the total contributed by the largest `k` values (`top-k
 /// share`); `None` for empty or zero-sum data.
 pub fn top_k_share(data: &[f64], k: usize) -> Option<f64> {
@@ -250,17 +226,6 @@ mod tests {
         assert!((g - 0.75).abs() < 1e-12);
         assert!(gini(&[]).is_none());
         assert!(gini(&[0.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn lorenz_curve_endpoints_and_convexity() {
-        let pts = lorenz_curve(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(pts.first(), Some(&(0.0, 0.0)));
-        assert_eq!(pts.last(), Some(&(1.0, 1.0)));
-        // Below the diagonal everywhere.
-        for &(p, v) in &pts {
-            assert!(v <= p + 1e-12);
-        }
     }
 
     #[test]

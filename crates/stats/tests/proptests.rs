@@ -3,10 +3,8 @@
 
 use bgq_stats::correlation::{pearson, spearman};
 use bgq_stats::dist::{Dist, DistKind};
-use bgq_stats::ecdf::Ecdf;
 use bgq_stats::gof::{ks_p_value, ks_statistic};
-use bgq_stats::histogram::Histogram;
-use bgq_stats::summary::{gini, lorenz_curve, Summary};
+use bgq_stats::summary::{gini, Summary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,11 +43,6 @@ proptest! {
     #[test]
     fn pdf_nonnegative(d in arb_dist(), x in -1e6f64..1e6) {
         prop_assert!(d.pdf(x) >= 0.0);
-    }
-
-    #[test]
-    fn sf_complements_cdf(d in arb_dist(), x in -1e5f64..1e5) {
-        prop_assert!((d.cdf(x) + d.sf(x) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -96,13 +89,6 @@ proptest! {
     }
 
     #[test]
-    fn ecdf_matches_brute_force(data in proptest::collection::vec(-1e3f64..1e3, 1..60), x in -1e3f64..1e3) {
-        let e = Ecdf::new(&data);
-        let brute = data.iter().filter(|&&v| v <= x).count() as f64 / data.len() as f64;
-        prop_assert!((e.eval(x) - brute).abs() < 1e-12);
-    }
-
-    #[test]
     fn summary_respects_order(data in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
         let s = Summary::from_slice(&data).unwrap();
         prop_assert!(s.min() <= s.p25() && s.p25() <= s.median());
@@ -116,26 +102,6 @@ proptest! {
         if let Some(g) = gini(&data) {
             prop_assert!((0.0..1.0).contains(&g), "gini = {g}");
         }
-    }
-
-    #[test]
-    fn lorenz_is_convex_below_diagonal(data in proptest::collection::vec(0.0f64..1e6, 1..60)) {
-        let pts = lorenz_curve(&data);
-        for w in pts.windows(2) {
-            prop_assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1);
-        }
-        for &(p, v) in &pts {
-            prop_assert!(v <= p + 1e-9);
-        }
-    }
-
-    #[test]
-    fn histogram_conserves_counts(data in proptest::collection::vec(-1e4f64..1e4, 0..200)) {
-        let mut h = Histogram::linear(-100.0, 100.0, 16).unwrap();
-        for &v in &data {
-            h.add(v);
-        }
-        prop_assert_eq!(h.total() as usize, data.len());
     }
 
     #[test]

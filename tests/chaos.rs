@@ -20,8 +20,8 @@
 //! from the seed (CI uploads the directory as an artifact).
 //!
 //! The fast smoke test (first 12 seeds) runs in tier-1; the full
-//! 64-seed corpus is `#[ignore]`d and run by CI in release in all three
-//! feature legs, mirroring the oracle corpus.
+//! 64-seed corpus is `#[ignore]`d and run by CI in release in both
+//! feature legs (default and obs-off), mirroring the oracle corpus.
 
 mod common;
 
@@ -35,7 +35,9 @@ use bgq_chaos::{
 };
 use bgq_core::analysis::Analysis;
 use bgq_logs::snapshot::{self, day_of, segment_path, SegmentQuarantine};
-use bgq_logs::store::{Dataset, LoadOptions, LoadReport, QuarantineReason, TableStatus};
+use bgq_logs::store::{
+    Dataset, LoadOptions, LoadReport, QuarantineReason, TableStatus, MAX_RETRIES,
+};
 use bgq_model::Timestamp;
 use bgq_sim::{generate, generate_to_snapshot, SimConfig};
 
@@ -211,7 +213,6 @@ fn run_case(seed: u64) -> ChaosLedger {
     let opts = LoadOptions {
         max_reject_ratio: 1.0,
         degraded: true,
-        ..LoadOptions::default()
     };
     let (loaded, report) =
         Dataset::load_dir_with(&case_dir, &opts).expect("degraded load must not fail");
@@ -460,7 +461,6 @@ fn segment_corruption_matches_ledger_exactly() {
     let opts = LoadOptions {
         max_reject_ratio: 1.0,
         degraded: true,
-        ..LoadOptions::default()
     };
     let mut case = 0u64;
     for mode in ALL_SEGMENT_MODES {
@@ -615,7 +615,6 @@ fn poisoned_segment_trips_the_reject_ceiling_per_partition() {
     let opts = LoadOptions {
         max_reject_ratio: 0.0,
         degraded: true,
-        ..LoadOptions::default()
     };
     let (loaded, report) = snapshot::read_dir_with(&case_dir, &opts).expect("degraded load");
     let stats = report
@@ -631,7 +630,6 @@ fn poisoned_segment_trips_the_reject_ceiling_per_partition() {
     let opts = LoadOptions {
         max_reject_ratio: 1.0,
         degraded: true,
-        ..LoadOptions::default()
     };
     let (loaded, report) = snapshot::read_dir_with(&case_dir, &opts).expect("degraded load");
     let stats = report
@@ -692,7 +690,6 @@ fn poisoned_lineage_quarantines_rows_and_mining_survives() {
     let opts = LoadOptions {
         max_reject_ratio: 1.0,
         degraded: true,
-        ..LoadOptions::default()
     };
     let (loaded, report) = snapshot::read_dir_with(&dir, &opts).expect("degraded load");
     assert_eq!(
@@ -739,7 +736,7 @@ fn permanent_read_fault_quarantines_in_degraded_mode() {
     assert!(loaded.ras.is_empty());
     let stats = report.table("ras").unwrap();
     assert_eq!(stats.status, TableStatus::Quarantined(QuarantineReason::Io));
-    assert_eq!(stats.retries, LoadOptions::default().max_retries);
+    assert_eq!(stats.retries, MAX_RETRIES);
     let analysis = Analysis::run(&loaded).mark_degraded(&report.availability());
     assert!(analysis.degraded.iter().any(|d| d.stage == "ras"));
     std::fs::remove_dir_all(&dir).ok();
@@ -768,7 +765,6 @@ fn live_tail_quarantines_faults_without_dropping_connections() {
     let load = LoadOptions {
         max_reject_ratio: 1.0,
         degraded: true,
-        ..LoadOptions::default()
     };
     let store = Arc::new(bgq_serve::EpochStore::new());
     let mut ingestor = bgq_serve::Ingestor::new(&dir, Arc::clone(&store), load.clone());

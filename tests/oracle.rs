@@ -6,12 +6,10 @@
 //!
 //! | production                              | reference                             | equality   |
 //! |-----------------------------------------|---------------------------------------|------------|
-//! | `Histogram` guess-and-snap binning      | per-edge linear search                | bit-exact  |
 //! | `Summary` order statistics              | sort + type-7 interpolation           | bit-exact  |
 //! | `correlation::spearman` (sorted ranks)  | counted mid-ranks + textbook Pearson  | `1e-12`    |
 //! | `IntervalIndex` stab / overlap          | full scan per query                   | bit-exact  |
 //! | `attribute_events` (indexed join)       | quadratic scan join                   | bit-exact  |
-//! | `utilization_series` (interval clip)    | per-second stepping                   | bit-exact  |
 //! | streaming interned `Dataset` load       | original in-memory records            | bit-exact  |
 //! | columnar snapshot round-trip            | original in-memory records            | bit-exact  |
 //! | `mine_chains` (sorted single pass)      | quadratic whole-log reconstruction    | bit-exact  |
@@ -20,24 +18,22 @@
 //!
 //! Random cases come from the vendored proptest harness (so failures
 //! shrink to minimal draw streams); the `#[ignore]`d corpus test replays
-//! a fixed-seed adversarial corpus — values exactly on bin edges,
-//! zero-duration jobs, pre-origin events, NaN/∞, all-tied samples — and
-//! is run in CI in release mode. The only documented tolerance is the
-//! Spearman pairing (`1e-12`): the two sides sum ranks in different
-//! orders. Everything else must match to the bit.
+//! a fixed-seed adversarial corpus — values exactly on decimal and
+//! decade boundaries, zero-duration jobs, pre-origin events, NaN/∞,
+//! all-tied samples — and is run in CI in release mode. The only
+//! documented tolerance is the Spearman pairing (`1e-12`): the two sides
+//! sum ranks in different orders. Everything else must match to the bit.
 
 use bgq_core::chains::mine_chains;
 use bgq_core::columnar::{per_entity_columnar, DEFAULT_CHUNK_ROWS};
-use bgq_core::queueing::utilization_series;
 use bgq_logs::interval::IntervalIndex;
 use bgq_logs::join::attribute_events;
 use bgq_logs::snapshot;
 use bgq_logs::store::{Dataset, LoadOptions, SourceAvailability};
-use bgq_model::{Machine, Severity, Span, Timestamp};
+use bgq_model::{Severity, Span, Timestamp};
 use bgq_oracle::cases::{self, AdversarialCase};
-use bgq_oracle::{binning, join as refjoin, ranking, stabbing, users, utilization};
+use bgq_oracle::{join as refjoin, ranking, stabbing, users};
 use bgq_stats::correlation::spearman;
-use bgq_stats::histogram::Histogram;
 use bgq_stats::summary::Summary;
 use bgq_stats::topk::SpaceSaving;
 use proptest::prelude::*;
@@ -50,87 +46,6 @@ fn ts(s: i64) -> Timestamp {
 // ---------------------------------------------------------------------------
 // Pairing helpers, shared by the proptest properties and the fixed corpus.
 // ---------------------------------------------------------------------------
-
-/// The authoritative edge array of a histogram, as reported by its own
-/// `bin_bounds` — the reference then re-derives every bin assignment
-/// from these edges alone.
-fn harvest_edges(h: &Histogram) -> Vec<f64> {
-    let mut edges = vec![h.bin_bounds(0).0];
-    for i in 0..h.bins() {
-        edges.push(h.bin_bounds(i).1);
-    }
-    edges
-}
-
-/// Checks one histogram against the reference: the production layout's
-/// reported bounds must equal the *independently derived* `ref_edges`
-/// bit-for-bit (a layout that is merely self-consistent with drifted
-/// edges still fails here), and the filled counts must match a per-edge
-/// linear search over those reference edges.
-fn check_histogram(mut h: Histogram, ref_edges: &[f64], values: &[f64], what: &str) {
-    let harvested = harvest_edges(&h);
-    assert_eq!(
-        harvested.len(),
-        ref_edges.len(),
-        "{what}: edge count diverged"
-    );
-    for (i, (got, want)) in harvested.iter().zip(ref_edges).enumerate() {
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "{what}: edge {i} drifted: {got} vs {want}"
-        );
-    }
-    for &v in values {
-        h.add(v);
-    }
-    let (under, counts, over) = binning::fill_by_linear_search(ref_edges, values);
-    assert_eq!(
-        h.underflow(),
-        under,
-        "{what}: underflow diverged on {values:?}"
-    );
-    assert_eq!(
-        h.overflow(),
-        over,
-        "{what}: overflow diverged on {values:?}"
-    );
-    for (i, &want) in counts.iter().enumerate() {
-        assert_eq!(
-            h.count(i),
-            want,
-            "{what}: bin {i} {:?} diverged on {values:?}",
-            h.bin_bounds(i),
-        );
-    }
-}
-
-fn check_linear(lo: f64, hi: f64, bins: usize, values: &[f64], what: &str) {
-    check_histogram(
-        Histogram::linear(lo, hi, bins).unwrap(),
-        &binning::linear_edges(lo, hi, bins),
-        values,
-        what,
-    );
-}
-
-fn check_all_layouts(values: &[f64]) {
-    check_linear(0.0, 1.0, 10, values, "linear[0,1)x10");
-    check_linear(-3.0, 9.0, 7, values, "linear[-3,9)x7");
-    check_histogram(
-        Histogram::log(1e-3, 1e3, 6).unwrap(),
-        &binning::log_edges(1e-3, 1e3, 6),
-        values,
-        "log decades",
-    );
-    let explicit = vec![0.0, 0.1, 0.5, 0.7, 2.0, 10.0];
-    check_histogram(
-        Histogram::with_edges(explicit.clone()).unwrap(),
-        &explicit,
-        values,
-        "explicit",
-    );
-}
 
 fn check_summary(values: &[f64]) {
     let s = Summary::from_slice(values);
@@ -211,10 +126,11 @@ fn check_join(case: &AdversarialCase) {
 
 /// Cross-checks the interned streaming ingestion against the in-memory
 /// records: the case's jobs and events (given distinctive, comma-bearing
-/// message texts so interning actually works) are saved and re-loaded
-/// through both streaming paths, and `attribute_events` over the
-/// round-tripped interned records must produce the exact pairs the
-/// quadratic string-keyed reference produces over the originals.
+/// message texts so interning actually works) are saved and re-loaded at
+/// zero tolerance and at the default reject ceiling, and
+/// `attribute_events` over the round-tripped interned records must
+/// produce the exact pairs the quadratic string-keyed reference produces
+/// over the originals.
 fn check_interned_roundtrip(case: &AdversarialCase, dir: &std::path::Path) {
     let mut ds = Dataset::new();
     ds.jobs = case.jobs.clone();
@@ -308,7 +224,6 @@ fn check_snapshot_roundtrip(case: &AdversarialCase, dir: &std::path::Path) {
     let opts = LoadOptions {
         max_reject_ratio: 1.0,
         degraded: true,
-        ..LoadOptions::default()
     };
     let (lenient, report) = snapshot::read_dir_with(dir, &opts).expect("degraded snapshot load");
     assert_eq!(
@@ -530,32 +445,13 @@ fn check_sketch_over_jobs(case: &AdversarialCase) {
     }
 }
 
-fn check_utilization(case: &AdversarialCase) {
-    let got = utilization_series(&case.jobs, &Machine::MIRA, 1);
-    let want = utilization::utilization_by_seconds(&case.jobs, &Machine::MIRA, 1);
-    assert_eq!(
-        got.len(),
-        want.len(),
-        "window count diverged (seed {})",
-        case.seed
-    );
-    for (i, ((gt, gv), (wt, wv))) in got.iter().zip(&want).enumerate() {
-        assert_eq!(gt, wt, "window {i} start diverged (seed {})", case.seed);
-        assert_eq!(
-            gv.to_bits(),
-            wv.to_bits(),
-            "window {i} utilization diverged: {gv} vs {wv} (seed {})",
-            case.seed
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shrinking properties: random inputs, minimal counterexamples on failure.
 // ---------------------------------------------------------------------------
 
-/// Values that oversample histogram seams: exact edges computed two
-/// ways, decade edges, plus uniform filler and non-finite pollution.
+/// Values that oversample rounding and ordering seams: tenths computed
+/// two ways (`k / 10` and the drifted `k · 0.1`), powers of ten, plus
+/// uniform filler and non-finite pollution.
 fn adversarial_value() -> impl Strategy<Value = f64> {
     prop_oneof![
         (0u64..=10).prop_map(|k| k as f64 / 10.0),
@@ -569,32 +465,6 @@ fn adversarial_value() -> impl Strategy<Value = f64> {
 }
 
 proptest! {
-    #[test]
-    fn histogram_binning_matches_linear_search(
-        values in proptest::collection::vec(adversarial_value(), 0..40),
-    ) {
-        check_all_layouts(&values);
-    }
-
-    #[test]
-    fn random_linear_layouts_match_linear_search(
-        lo in -100.0f64..100.0,
-        span in 0.001f64..500.0,
-        bins in 1usize..40,
-        values in proptest::collection::vec(-150.0f64..650.0, 0..40),
-    ) {
-        let ref_edges = binning::linear_edges(lo, lo + span, bins);
-        // Mix in every exact edge of the layout under test.
-        let mut values = values;
-        values.extend(&ref_edges);
-        check_histogram(
-            Histogram::linear(lo, lo + span, bins).unwrap(),
-            &ref_edges,
-            &values,
-            "random linear layout",
-        );
-    }
-
     #[test]
     fn summary_quantiles_match_sorted_reference(
         values in proptest::collection::vec(adversarial_value(), 0..50),
@@ -624,18 +494,12 @@ proptest! {
 }
 
 proptest! {
-    // Fewer cases: these pairings regenerate whole job/event logs (and
-    // the utilization reference steps every second of every window).
+    // Fewer cases: these pairings regenerate whole job/event logs.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn join_matches_quadratic_scan(seed in 0u64..1_000_000) {
         check_join(&cases::generate(seed));
-    }
-
-    #[test]
-    fn utilization_matches_second_stepping(seed in 0u64..1_000_000) {
-        check_utilization(&cases::generate(seed));
     }
 
     #[test]
@@ -672,7 +536,6 @@ fn fixed_seed_adversarial_corpus() {
     let base = std::env::temp_dir().join(format!("bgq-oracle-roundtrip-{}", std::process::id()));
     for seed in 0..64u64 {
         let case = cases::generate(seed);
-        check_all_layouts(&case.samples);
         check_summary(&case.samples);
         let half = case.samples.len() / 2;
         check_spearman(&case.samples[..half], &case.samples[half..half * 2]);
@@ -681,7 +544,6 @@ fn fixed_seed_adversarial_corpus() {
             check_intervals(&case.intervals, width, &queries);
         }
         check_join(&case);
-        check_utilization(&case);
         check_chains(&case);
         check_per_user(&case);
         check_sketch_over_jobs(&case);

@@ -68,7 +68,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn tolerant_load() -> LoadOptions {
     LoadOptions {
         max_reject_ratio: 0.0,
-        max_retries: 0,
         degraded: true,
     }
 }

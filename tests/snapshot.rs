@@ -1,7 +1,7 @@
 //! Snapshot-store integration suite: the binary columnar path must be
 //! indistinguishable from the CSV path everywhere above the loader.
 //!
-//! Four contracts, pinned across all three feature legs:
+//! Four contracts, pinned in both feature legs (default and obs-off):
 //!
 //! 1. **Load parity** — the same dataset persisted as CSV and as a
 //!    snapshot loads to *equal* in-memory records, and the full
@@ -119,7 +119,6 @@ fn degraded_load_of_a_clean_snapshot_equals_strict() {
     let opts = LoadOptions {
         max_reject_ratio: 1.0,
         degraded: true,
-        ..LoadOptions::default()
     };
     let (lenient, report) = snapshot::read_dir_with(&snap, &opts).expect("degraded load");
     assert_eq!(strict, lenient);
