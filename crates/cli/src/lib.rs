@@ -3,12 +3,19 @@
 //! The binary is a thin wrapper over [`run`], which parses arguments and
 //! returns the text to print — making every command unit-testable.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use bgq_core::analysis::{stage_tables, Analysis};
-use bgq_core::filtering::FilterConfig;
+use bgq_core::analysis::{degraded_stages, stage_tables, Analysis, MIN_FIT_SAMPLES};
+use bgq_core::exitcode::ExitClass;
+use bgq_core::failure_rates::{by_scale, RateCurve};
+use bgq_core::filtering::{
+    interruption_stats_indexed, FilterConfig, FilterOutcome, InterruptionStats,
+};
+use bgq_core::fitting::{fit_by_class_indexed, ClassFit};
 use bgq_core::index::DatasetIndex;
+use bgq_core::jobstats::{class_breakdown_indexed, user_caused_share_indexed, DatasetTotals};
 use bgq_core::report::{group_thousands, percent, Align, Table};
 use bgq_core::takeaways::takeaways;
 use bgq_logs::snapshot;
@@ -154,7 +161,11 @@ USAGE:
       manifest rather than silently written empty.
 
   mira-mine analyze DIR
-      Load a trace from DIR and print the characterization tables. DIR may
+      Load a trace from DIR and print its summary: totals, exit classes,
+      the user-caused share, failure rate by scale, per-class length
+      fits, the filter funnel with the filtered MTBF, and the MTTI. Only
+      the stages behind those values run, and a snapshot load decodes
+      only its jobs and RAS tables (`report` runs every stage). DIR may
       hold CSVs or a snapshot (detected by its MANIFEST); every other
       command that reads a trace auto-detects the format the same way.
 
@@ -674,9 +685,9 @@ fn load_dataset(dir: &Path, tables: &[&str], opts: &GlobalOpts) -> Result<Loaded
     Ok((ds, report.availability()))
 }
 
-/// The one analysis path: the index build, every stage, and the
-/// load-time quarantine markers. Returns the index too, for callers that
-/// query it further.
+/// The full analysis that `report` and `profile` print from: the index
+/// build, every stage, and the load-time quarantine markers. Returns the
+/// index too, for callers that query it further.
 fn run_analysis<'a>(ds: &'a Dataset, avail: &SourceAvailability) -> (DatasetIndex<'a>, Analysis) {
     let idx = DatasetIndex::build(ds);
     let analysis = Analysis::run_indexed(&idx).mark_degraded(avail);
@@ -696,15 +707,73 @@ fn degraded_banner(avail: &SourceAvailability) -> String {
     }
 }
 
+/// The tables `analyze` reads: those its printed stages read per
+/// `STAGE_SOURCES`. A snapshot load decodes no other.
+const ANALYZE_TABLES: [&str; 2] = ["jobs", "ras"];
+
+/// What `analyze` prints. Each value comes from the stage function that
+/// computes the [`Analysis`] field of the same name; `filter` is the
+/// index's own funnel.
+struct Summary<'i> {
+    totals: Option<DatasetTotals>,
+    class_breakdown: BTreeMap<ExitClass, usize>,
+    user_caused_share: Option<f64>,
+    rate_by_scale: RateCurve,
+    class_fits: Vec<ClassFit>,
+    filter: &'i FilterOutcome,
+    interruptions: InterruptionStats,
+}
+
+impl<'i> Summary<'i> {
+    /// Runs only the printed stages, the class fits beside the job
+    /// sweeps, under the span names `Analysis::run_indexed` gives them.
+    /// `by_scale` runs untimed: its timer there, `analysis.rates`, spans
+    /// all four rate curves.
+    fn compute(idx: &'i DatasetIndex<'_>) -> Self {
+        let (
+            class_fits,
+            (totals, class_breakdown, user_caused_share, rate_by_scale, interruptions),
+        ) = bgq_par::join(
+            || {
+                bgq_obs::time("analysis.fit.by_class", || {
+                    fit_by_class_indexed(idx, MIN_FIT_SAMPLES)
+                })
+            },
+            || {
+                (
+                    bgq_obs::time("analysis.jobs.totals", || DatasetTotals::compute(idx.jobs)),
+                    bgq_obs::time("analysis.class_breakdown", || class_breakdown_indexed(idx)),
+                    bgq_obs::time("analysis.user_caused_share", || {
+                        user_caused_share_indexed(idx)
+                    }),
+                    by_scale(idx.jobs),
+                    bgq_obs::time("analysis.interruptions", || interruption_stats_indexed(idx)),
+                )
+            },
+        );
+        Summary {
+            totals,
+            class_breakdown,
+            user_caused_share,
+            rate_by_scale,
+            class_fits,
+            filter: &idx.filter,
+            interruptions,
+        }
+    }
+}
+
 fn cmd_analyze(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
-    let (ds, avail) = load(args, &stage_tables(), opts)?;
-    let (_, a) = run_analysis(&ds, &avail);
+    let (ds, avail) = load(args, &ANALYZE_TABLES, opts)?;
+    let idx = DatasetIndex::build(&ds);
+    let a = Summary::compute(&idx);
     let mut out = String::new();
-    if !a.degraded.is_empty() {
+    let degraded = degraded_stages(&avail);
+    if !degraded.is_empty() {
         out.push_str(&format!(
             "DEGRADED: table(s) unavailable: {}; affected stages: {}\n\n",
             avail.missing().join(", "),
-            a.degraded
+            degraded
                 .iter()
                 .map(|d| d.stage)
                 .collect::<Vec<_>>()
@@ -1543,6 +1612,13 @@ mod tests {
         // No analysis stage reads tasks, and `users` reads only jobs.
         std::fs::remove_file(snapshot::segment_path(&dir, "tasks", day)).unwrap();
         assert_eq!(run(&s(&["analyze", &dir_str])).unwrap(), analysis);
+        // No stage `analyze` prints reads I/O; `report` still does.
+        let io = snapshot::segment_path(&dir, "io", day);
+        let bytes = std::fs::read(&io).unwrap();
+        std::fs::write(&io, &bytes[..bytes.len() / 2]).unwrap();
+        assert_eq!(run(&s(&["analyze", &dir_str])).unwrap(), analysis);
+        let err = run(&s(&["report", &dir_str])).unwrap_err();
+        assert!(matches!(err, CliError::Snapshot(_)), "{err}");
         std::fs::remove_file(snapshot::segment_path(&dir, "ras", day)).unwrap();
         assert_eq!(run(&s(&["users", &dir_str])).unwrap(), users);
         // A command that reads the damaged table still refuses it.
@@ -1550,6 +1626,63 @@ mod tests {
         assert!(matches!(err, CliError::Snapshot(_)), "{err}");
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Each value `analyze` prints equals the [`Analysis`] field it
+    /// stands in for, bit for bit.
+    fn assert_summary_matches_the_full_analysis(ds: &Dataset) {
+        let idx = DatasetIndex::build(ds);
+        let s = Summary::compute(&idx);
+        let a = Analysis::run_indexed(&idx);
+        assert_eq!(s.totals, a.totals);
+        assert_eq!(s.class_breakdown, a.class_breakdown);
+        assert_eq!(
+            s.user_caused_share.map(f64::to_bits),
+            a.user_caused_share.map(f64::to_bits)
+        );
+        assert_eq!(s.rate_by_scale, a.rate_by_scale);
+        assert_eq!(
+            s.rate_by_scale.spearman_rho.map(f64::to_bits),
+            a.rate_by_scale.spearman_rho.map(f64::to_bits)
+        );
+        assert_eq!(format!("{:?}", s.class_fits), format!("{:?}", a.class_fits));
+        assert_eq!(*s.filter, a.filter);
+        assert_eq!(s.interruptions, a.interruptions);
+    }
+
+    #[test]
+    fn analyze_prints_the_full_analysis_values() {
+        let _obs = lock();
+        let ds = generate(&SimConfig::small(10).with_seed(5)).dataset;
+        let idx = DatasetIndex::build(&ds);
+        let s = Summary::compute(&idx);
+        assert!(s.class_fits.len() >= 2, "{:?}", s.class_fits);
+        assert!(s.rate_by_scale.buckets.len() >= 2 && s.interruptions.mtti_days.is_some());
+        bgq_par::with_max_threads(1, || assert_summary_matches_the_full_analysis(&ds));
+        assert_summary_matches_the_full_analysis(&ds);
+        assert_summary_matches_the_full_analysis(&Dataset::new());
+    }
+
+    #[test]
+    fn analyze_reads_the_tables_of_the_stages_it_prints() {
+        let printed = [
+            "totals",
+            "class_breakdown",
+            "user_caused_share",
+            "rate_by_scale",
+            "class_fits",
+            "filter",
+            "interruptions",
+        ];
+        let tables: Vec<&str> = snapshot::TABLES
+            .into_iter()
+            .filter(|t| {
+                bgq_core::analysis::STAGE_SOURCES
+                    .iter()
+                    .any(|(stage, sources)| printed.contains(stage) && sources.contains(t))
+            })
+            .collect();
+        assert_eq!(tables, ANALYZE_TABLES);
     }
 
     #[test]

@@ -91,9 +91,13 @@ impl std::fmt::Display for DegradedStage {
 
 /// The stages degraded by the given availability, in [`STAGE_SOURCES`]
 /// order. Empty when every source is present.
+///
+/// Each degraded stage is also counted once under
+/// `analysis.degraded{stage}`, so every command that reports the stages
+/// leaves the same counters in its run manifest.
 #[must_use]
 pub fn degraded_stages(avail: &SourceAvailability) -> Vec<DegradedStage> {
-    STAGE_SOURCES
+    let degraded: Vec<DegradedStage> = STAGE_SOURCES
         .iter()
         .filter_map(|&(stage, sources)| {
             let missing: Vec<&'static str> = sources
@@ -103,7 +107,11 @@ pub fn degraded_stages(avail: &SourceAvailability) -> Vec<DegradedStage> {
                 .collect();
             (!missing.is_empty()).then_some(DegradedStage { stage, missing })
         })
-        .collect()
+        .collect();
+    for d in &degraded {
+        bgq_obs::add_labeled("analysis.degraded", d.stage, 1);
+    }
+    degraded
 }
 
 /// Everything the paper computes, in one struct.
@@ -191,19 +199,18 @@ impl Analysis {
 
     /// Stamps the load-time quarantine markers onto a finished analysis:
     /// each stage whose sources were quarantined gets an explicit
-    /// [`DegradedStage`] entry (and an `analysis.degraded` obs counter)
-    /// instead of letting its zeros masquerade as measurements.
+    /// [`DegradedStage`] entry (and an `analysis.degraded` obs counter,
+    /// from [`degraded_stages`]) instead of letting its zeros masquerade
+    /// as measurements.
     ///
     /// Every stage still runs — a degraded stage's result covers the
     /// records that survived, which is the honest best-effort answer;
     /// the marker is what keeps it from being read as the full trace.
-    /// The batch CLI runs `Analysis::run_indexed(&idx).mark_degraded(&avail)`.
+    /// The CLI's `report` and `profile` run
+    /// `Analysis::run_indexed(&idx).mark_degraded(&avail)`.
     #[must_use]
     pub fn mark_degraded(mut self, avail: &SourceAvailability) -> Self {
         self.degraded = degraded_stages(avail);
-        for d in &self.degraded {
-            bgq_obs::add_labeled("analysis.degraded", d.stage, 1);
-        }
         self
     }
 
