@@ -404,7 +404,6 @@ fn emit_observability(
     }
     let mut manifest = RunManifest::new(bgq_obs::snapshot().since(before))
         .with_meta("command", format!("mira-mine {}", args.join(" ")))
-        .with_meta("features", if bgq_obs::enabled() { "obs" } else { "none" })
         .with_meta("threads", bgq_par::max_workers().to_string())
         .with_meta("status", if error.is_some() { "error" } else { "ok" });
     if let Some(e) = error {
@@ -1229,13 +1228,6 @@ fn cmd_profile(args: &[String], opts: &GlobalOpts) -> Result<String, CliError> {
         group_thousands(ds.jobs.len() as u64),
         group_thousands(ds.ras.len() as u64),
     );
-    if delta.spans.is_empty() {
-        out.push_str(
-            "no stage timings collected — this binary was built without the `obs` feature\n",
-        );
-        return Ok(out);
-    }
-
     let profile = RunManifest::new(delta);
     // Allocation columns only when the build tracked allocations
     // (`obs-alloc` feature) — empty columns would just be noise.
@@ -1755,13 +1747,9 @@ mod tests {
         let out = run(&s(&["profile", "--days", "5", "--seed", "7"])).unwrap();
         assert!(out.contains("profiled simulated (5 days, seed 7)"), "{out}");
         assert!(out.contains("fingerprint"), "{out}");
-        if bgq_obs::enabled() {
-            assert!(out.contains("analysis.run"), "{out}");
-            assert!(out.contains("filter funnel:"), "{out}");
-            assert!(out.contains("join memo (warn)"), "{out}");
-        } else {
-            assert!(out.contains("built without the `obs` feature"), "{out}");
-        }
+        assert!(out.contains("analysis.run"), "{out}");
+        assert!(out.contains("filter funnel:"), "{out}");
+        assert!(out.contains("join memo (warn)"), "{out}");
     }
 
     #[test]
@@ -1788,11 +1776,9 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        if bgq_obs::enabled() {
-            assert!(json.contains("analysis.run"), "{json}");
-            assert!(json.contains("filter.funnel"), "{json}");
-            assert!(json.contains("index.join.memo_hit"), "{json}");
-        }
+        assert!(json.contains("analysis.run"), "{json}");
+        assert!(json.contains("filter.funnel"), "{json}");
+        assert!(json.contains("index.join.memo_hit"), "{json}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1815,16 +1801,10 @@ mod tests {
         let _obs = lock();
         let out = run(&s(&["--trace", "profile", "--days", "3"])).unwrap();
         assert!(out.contains("command: mira-mine --trace profile"), "{out}");
-        if bgq_obs::enabled() {
-            assert!(
-                out.contains("stages (wall time summed across threads):"),
-                "{out}"
-            );
-            assert!(out.contains("features: obs"), "{out}");
-        } else {
-            assert!(!out.contains("stages ("), "{out}");
-            assert!(!out.contains("features: obs"), "{out}");
-        }
+        assert!(
+            out.contains("stages (wall time summed across threads):"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -2007,40 +1987,38 @@ mod tests {
             Some("ms")
         );
         let events = doc.get("traceEvents").unwrap().items();
-        if bgq_obs::enabled() {
-            // Begin/end events nest per thread: every E closes the span
-            // the tid's stack has on top. (Spans still open at export —
-            // e.g. from concurrently running tests — legitimately leave
-            // unmatched B's, so stacks need not drain to empty.)
-            let mut stacks: std::collections::HashMap<u64, Vec<String>> =
-                std::collections::HashMap::new();
-            let mut our_begins = 0;
-            for ev in events {
-                let name = ev.get("name").and_then(|v| v.as_str()).unwrap().to_owned();
-                let tid = ev
-                    .get("tid")
-                    .and_then(bgq_obs::json::JsonValue::as_u64)
-                    .unwrap();
-                assert!(ev
-                    .get("ts")
-                    .and_then(bgq_obs::json::JsonValue::as_f64)
-                    .is_some());
-                match ev.get("ph").and_then(|v| v.as_str()) {
-                    Some("B") => {
-                        if name == "analysis.run" {
-                            our_begins += 1;
-                        }
-                        stacks.entry(tid).or_default().push(name);
+        // Begin/end events nest per thread: every E closes the span
+        // the tid's stack has on top. (Spans still open at export —
+        // e.g. from concurrently running tests — legitimately leave
+        // unmatched B's, so stacks need not drain to empty.)
+        let mut stacks: std::collections::HashMap<u64, Vec<String>> =
+            std::collections::HashMap::new();
+        let mut our_begins = 0;
+        for ev in events {
+            let name = ev.get("name").and_then(|v| v.as_str()).unwrap().to_owned();
+            let tid = ev
+                .get("tid")
+                .and_then(bgq_obs::json::JsonValue::as_u64)
+                .unwrap();
+            assert!(ev
+                .get("ts")
+                .and_then(bgq_obs::json::JsonValue::as_f64)
+                .is_some());
+            match ev.get("ph").and_then(|v| v.as_str()) {
+                Some("B") => {
+                    if name == "analysis.run" {
+                        our_begins += 1;
                     }
-                    Some("E") => {
-                        let top = stacks.entry(tid).or_default().pop();
-                        assert_eq!(top.as_deref(), Some(name.as_str()), "tid {tid}");
-                    }
-                    other => panic!("unexpected ph {other:?}"),
+                    stacks.entry(tid).or_default().push(name);
                 }
+                Some("E") => {
+                    let top = stacks.entry(tid).or_default().pop();
+                    assert_eq!(top.as_deref(), Some(name.as_str()), "tid {tid}");
+                }
+                other => panic!("unexpected ph {other:?}"),
             }
-            assert!(our_begins >= 1, "profile run should trace analysis.run");
         }
+        assert!(our_begins >= 1, "profile run should trace analysis.run");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2071,9 +2049,6 @@ mod tests {
     #[test]
     fn regression_gate_passes_clean_and_fails_doctored_baseline() {
         let _obs = lock();
-        if !bgq_obs::enabled() {
-            return; // without `obs` the profile has no spans to gate
-        }
         let base = temp_dir("gate-base").with_extension("json");
         run(&s(&[
             "--metrics",

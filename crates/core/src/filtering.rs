@@ -243,13 +243,11 @@ pub fn filter_events(ras: &[RasRecord], config: &FilterConfig) -> FilterOutcome 
     // Incident size distribution: how many raw FATAL events each final
     // incident absorbed (the paper's storm-compression measure). Local
     // accumulation + one merge keeps the collector lock off the loop.
-    if bgq_obs::enabled() {
-        let mut sizes = bgq_obs::Histogram::new();
-        for incident in &incidents {
-            sizes.record(incident.events.len() as u64);
-        }
-        bgq_obs::hist_merge("filter.cluster_size", "", &sizes);
+    let mut sizes = bgq_obs::Histogram::new();
+    for incident in &incidents {
+        sizes.record(incident.events.len() as u64);
     }
+    bgq_obs::hist_merge("filter.cluster_size", "", &sizes);
 
     // One add per stage (not per record), so the funnel counters are
     // exact copies of the outcome fields under any thread schedule.

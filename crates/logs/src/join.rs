@@ -129,9 +129,7 @@ pub fn attribute_events_with(
                     }
                 });
                 candidates += ev_candidates;
-                if bgq_obs::enabled() {
-                    per_event.record(ev_candidates);
-                }
+                per_event.record(ev_candidates);
             }
             (pairs, candidates, per_event)
         },

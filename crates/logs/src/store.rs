@@ -606,9 +606,6 @@ fn resolve_header<R: Record>(header: crate::csv::RecordView<'_>) -> Result<Colum
 /// the accepted-row payload-size distribution and the rejected-row rate
 /// in permille.
 fn publish_table_hists<R: Record>(row_bytes: &bgq_obs::Histogram, rejected: usize) {
-    if !bgq_obs::enabled() {
-        return;
-    }
     bgq_obs::hist_merge("store.row_bytes", R::TABLE, row_bytes);
     let scanned = row_bytes.count() + rejected as u64;
     if let Some(permille) = (rejected as u64 * 1000).checked_div(scanned) {
@@ -622,9 +619,9 @@ struct ScanOutcome<R> {
     rejected_csv: usize,
     rejected_schema: usize,
     first_schema_error: Option<SchemaError>,
-    /// Unescaped payload bytes of each accepted row (empty when the
-    /// `obs` feature is off). Published as `store.row_bytes{table}` by
-    /// the *successful* load only, so retried scans never double-count.
+    /// Unescaped payload bytes of each accepted row. Published as
+    /// `store.row_bytes{table}` by the *successful* load only, so retried
+    /// scans never double-count.
     row_bytes: bgq_obs::Histogram,
 }
 
@@ -677,11 +674,7 @@ fn scan_table<R: Record>(source: &dyn TableSource) -> Result<ScanOutcome<R>, Sca
         match scanner.read_record() {
             Ok(Some(view)) => match R::decode_fields(&view, &cols) {
                 Ok(rec) => {
-                    // `enabled()` is const: the accumulation compiles
-                    // out entirely in obs-off builds.
-                    if bgq_obs::enabled() {
-                        row_bytes.record(view.byte_len() as u64);
-                    }
+                    row_bytes.record(view.byte_len() as u64);
                     records.push(rec);
                 }
                 Err(e) => {

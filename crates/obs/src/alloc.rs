@@ -29,13 +29,6 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// `true` when the crate was built with `obs-alloc` (the counting
-/// allocator is installed and the stats below are live).
-#[must_use]
-pub const fn tracking() -> bool {
-    cfg!(feature = "obs-alloc")
-}
-
 /// Point-in-time allocation totals since process start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -49,7 +42,8 @@ pub struct AllocStats {
     pub peak_bytes: u64,
 }
 
-/// Current allocation totals (all zero unless [`tracking`]).
+/// Current allocation totals (all zero unless the crate was built with
+/// the `obs-alloc` feature, which installs the counting allocator).
 #[must_use]
 pub fn stats() -> AllocStats {
     AllocStats {
@@ -158,7 +152,6 @@ mod tests {
     #[test]
     #[cfg(not(feature = "obs-alloc"))]
     fn stats_are_zero_without_the_feature() {
-        assert!(!tracking());
         assert_eq!(stats(), AllocStats::default());
     }
 }

@@ -1,4 +1,5 @@
-//! The process-global collector (compiled only with the `obs` feature).
+//! The process-global collector behind every span, counter, gauge and
+//! histogram call.
 //!
 //! One mutex-guarded state blob is plenty: instrumentation is coarse —
 //! one span per pipeline stage, one counter add per aggregate — so the
@@ -118,13 +119,4 @@ pub(crate) fn snapshot() -> Snapshot {
             .map(|(&n, h)| (n.to_owned(), h.clone()))
             .collect(),
     }
-}
-
-pub(crate) fn reset() {
-    let mut st = locked();
-    st.counters.clear();
-    st.gauges.clear();
-    st.spans.clear();
-    st.hists.clear();
-    st.span_ns.clear();
 }

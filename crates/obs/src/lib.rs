@@ -18,18 +18,15 @@
 //!   per-record increments, so the hot paths stay hot and the totals
 //!   are deterministic under any `bgq_par` schedule.
 //! * **Run manifests** — [`manifest::RunManifest`] pairs a metadata map
-//!   (dataset fingerprint, feature flags, thread count) with a
-//!   [`Snapshot`] and serializes to JSON or a human-readable tree.
+//!   (command line, thread count, exit status) with a [`Snapshot`] and
+//!   serializes to JSON or a human-readable tree.
 //! * **Logging** — [`warn!`] / [`info!`] route ad-hoc diagnostics to
 //!   stderr under a global verbosity switch ([`set_verbosity`]), so a
 //!   `--quiet` flag can make stderr machine-clean.
 //!
-//! Collection is a **side channel**: nothing read from the collector
-//! feeds back into any analysis result, so enabling or disabling the
-//! `obs` feature cannot perturb determinism guarantees. Building with
-//! `--no-default-features` compiles every instrumentation call to a
-//! no-op with zero runtime cost; the logging facility stays active in
-//! both modes.
+//! Collection is always compiled in and is a **side channel**: nothing
+//! read from the collector feeds back into any analysis result, so it
+//! cannot perturb determinism guarantees.
 //!
 //! # Examples
 //!
@@ -40,14 +37,12 @@
 //!     bgq_obs::add("demo.records", 42);
 //! }
 //! let delta = bgq_obs::snapshot().since(&before);
-//! #[cfg(feature = "obs")]
-//! {
-//!     assert_eq!(delta.counter("demo.records", ""), 42);
-//!     assert!(delta.span_wall_ns("demo.stage") > 0);
-//! }
+//! assert_eq!(delta.counter("demo.records", ""), 42);
+//! assert!(delta.span_wall_ns("demo.stage") > 0);
 //! ```
 
 pub mod alloc;
+mod collect;
 pub mod diff;
 pub mod fnv;
 pub mod hist;
@@ -57,19 +52,9 @@ mod snapshot;
 pub mod term;
 pub mod trace;
 
-#[cfg(feature = "obs")]
-mod collect;
-
 pub use hist::Histogram;
 pub use snapshot::{Snapshot, SpanStat};
 pub use term::{set_verbosity, verbosity, Verbosity};
-
-/// `true` when the crate was built with the `obs` feature (collection
-/// active); `false` when every instrumentation call is a no-op.
-#[must_use]
-pub const fn enabled() -> bool {
-    cfg!(feature = "obs")
-}
 
 /// RAII guard returned by [`span()`]: records the elapsed wall time under
 /// the span's name when dropped (plus a timeline begin/end event pair
@@ -77,13 +62,10 @@ pub const fn enabled() -> bool {
 /// the `obs-alloc` feature is on).
 #[must_use = "a span guard records nothing unless it is held to the end of the stage"]
 pub struct SpanGuard {
-    #[cfg(feature = "obs")]
     name: &'static str,
-    #[cfg(feature = "obs")]
     start: std::time::Instant,
     /// Whether this guard emitted a Begin event (so the End stays
     /// balanced even if tracing is toggled mid-span).
-    #[cfg(feature = "obs")]
     traced: bool,
     #[cfg(feature = "obs-alloc")]
     alloc_start: alloc::AllocStats,
@@ -91,12 +73,9 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "obs")]
-        {
-            collect::record_span(self.name, self.start.elapsed());
-            if self.traced {
-                trace::record(self.name, trace::Phase::End);
-            }
+        collect::record_span(self.name, self.start.elapsed());
+        if self.traced {
+            trace::record(self.name, trace::Phase::End);
         }
         #[cfg(feature = "obs-alloc")]
         {
@@ -118,19 +97,13 @@ impl Drop for SpanGuard {
 /// Opens a span: the returned guard records wall time under `name` when
 /// it goes out of scope. Prefer the [`span!`] macro at call sites.
 pub fn span(name: &'static str) -> SpanGuard {
-    let _ = name;
-    #[cfg(feature = "obs")]
     let traced = trace::is_enabled();
-    #[cfg(feature = "obs")]
     if traced {
         trace::record(name, trace::Phase::Begin);
     }
     SpanGuard {
-        #[cfg(feature = "obs")]
         name,
-        #[cfg(feature = "obs")]
         start: std::time::Instant::now(),
-        #[cfg(feature = "obs")]
         traced,
         #[cfg(feature = "obs-alloc")]
         alloc_start: alloc::stats(),
@@ -163,12 +136,7 @@ pub fn add(name: &'static str, delta: u64) {
 /// Adds `delta` to the counter `name` under `label` (e.g. a severity,
 /// an exit class, or a funnel stage).
 pub fn add_labeled(name: &'static str, label: &str, delta: u64) {
-    #[cfg(feature = "obs")]
     collect::add_counter(name, label, delta);
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (name, label, delta);
-    }
 }
 
 /// Sets the gauge `name` to `value` (last write wins).
@@ -178,89 +146,50 @@ pub fn gauge_set(name: &'static str, value: u64) {
 
 /// Sets the gauge `name` under `label` to `value` (last write wins).
 pub fn gauge_set_labeled(name: &'static str, label: &str, value: u64) {
-    #[cfg(feature = "obs")]
     collect::set_gauge(name, label, value);
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (name, label, value);
-    }
 }
 
 /// Records one value into the unlabeled histogram `name`.
 ///
-/// For per-record hot paths, accumulate into a local [`Histogram`]
-/// (guarded by [`enabled`]) and publish once with [`hist_merge`]
-/// instead — this function takes the collector lock per call.
+/// For per-record hot paths, accumulate into a local [`Histogram`] and
+/// publish once with [`hist_merge`] instead — this function takes the
+/// collector lock per call.
 pub fn hist_record(name: &'static str, value: u64) {
     hist_record_labeled(name, "", value);
 }
 
 /// Records one value into the histogram `name` under `label`.
 pub fn hist_record_labeled(name: &'static str, label: &str, value: u64) {
-    #[cfg(feature = "obs")]
     collect::record_hist(name, label, value);
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (name, label, value);
-    }
 }
 
 /// Folds a locally accumulated histogram into the global histogram
 /// `name` under `label` (one lock acquisition per stage/chunk; merge
 /// order never matters, so per-worker parts stay schedule-independent).
 pub fn hist_merge(name: &'static str, label: &str, part: &Histogram) {
-    #[cfg(feature = "obs")]
     collect::merge_hist(name, label, part);
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (name, label, part);
-    }
 }
 
 /// Takes a consistent snapshot of every counter, gauge, and span
-/// aggregate collected so far (empty when the `obs` feature is off).
+/// aggregate collected so far.
 ///
 /// The collector is cumulative and process-global; callers that want
 /// per-run numbers snapshot before and after and use
 /// [`Snapshot::since`].
 #[must_use]
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "obs")]
-    {
-        collect::snapshot()
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        Snapshot::default()
-    }
-}
-
-/// Clears the collector (test hook; production callers should prefer
-/// snapshot diffs, which tolerate concurrent instrumented work).
-pub fn reset() {
-    #[cfg(feature = "obs")]
-    collect::reset();
+    collect::snapshot()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The collector is process-global; serialize the tests that assert
-    // on absolute state so they cannot observe each other's writes.
-    #[cfg(feature = "obs")]
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[cfg(feature = "obs")]
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    // The collector is process-global and shared with the other tests in
+    // this binary, so each test reads only names no other test writes.
 
     #[test]
-    #[cfg(feature = "obs")]
     fn counters_accumulate_and_diff() {
-        let _l = lock();
         let before = snapshot();
         add("test.counter.a", 3);
         add("test.counter.a", 4);
@@ -272,9 +201,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn spans_record_nonzero_wall_time() {
-        let _l = lock();
         let before = snapshot();
         {
             let _g = span!("test.span.outer");
@@ -290,9 +217,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn spans_aggregate_across_threads() {
-        let _l = lock();
         let before = snapshot();
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -308,34 +233,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn gauges_take_the_last_write() {
-        let _l = lock();
         gauge_set("test.gauge.a", 10);
         gauge_set("test.gauge.a", 3);
         let snap = snapshot();
         assert_eq!(snap.gauges[&("test.gauge.a".to_owned(), String::new())], 3);
-    }
-
-    #[test]
-    #[cfg(feature = "obs")]
-    fn reset_clears_everything() {
-        let _l = lock();
-        add("test.counter.reset", 1);
-        reset();
-        let snap = snapshot();
-        assert_eq!(snap.counter("test.counter.reset", ""), 0);
-    }
-
-    #[test]
-    #[cfg(not(feature = "obs"))]
-    fn disabled_mode_is_a_no_op() {
-        let _g = span!("test.noop");
-        add("test.noop", 1);
-        gauge_set("test.noop", 1);
-        time("test.noop", || ());
-        let snap = snapshot();
-        assert!(snap.is_empty());
-        assert!(!enabled());
     }
 }

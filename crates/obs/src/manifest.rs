@@ -7,9 +7,9 @@ use crate::hist::Histogram;
 use crate::json::{self, JsonValue, JsonWriter};
 use crate::snapshot::{Snapshot, SpanStat};
 
-/// Everything a run self-reports: a flat metadata map (dataset
-/// fingerprint, feature flags, thread count, command line) and the
-/// [`Snapshot`] of spans/counters/gauges the run produced.
+/// Everything a run self-reports: a flat metadata map (command line,
+/// thread count, exit status) and the [`Snapshot`] of
+/// spans/counters/gauges the run produced.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunManifest {
     /// Provenance key/value pairs, rendered in key order.
@@ -303,7 +303,7 @@ impl RunManifest {
             }
         }
         if out.is_empty() {
-            out.push_str("(no observability data collected — built without the `obs` feature?)\n");
+            out.push_str("(no observability data collected)\n");
         }
         out
     }
@@ -334,16 +334,14 @@ mod tests {
         snap.gauges.insert(("run.threads".into(), String::new()), 8);
         RunManifest::new(snap)
             .with_meta("command", "profile --days 30")
-            .with_meta("features", "obs,parallel")
+            .with_meta("threads", "8")
     }
 
     #[test]
     fn json_has_all_sections() {
         let json = sample().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(
-            json.contains(r#""meta":{"command":"profile --days 30","features":"obs,parallel"}"#)
-        );
+        assert!(json.contains(r#""meta":{"command":"profile --days 30","threads":"8"}"#));
         assert!(json.contains(r#""name":"analysis.run","calls":1,"wall_ns":2500000"#));
         assert!(json.contains(r#""name":"filter.funnel","label":"raw_fatal","value":128"#));
         assert!(json.contains(r#""name":"run.threads","value":8"#));
@@ -358,7 +356,7 @@ mod tests {
         assert!(analysis_pos < fit_pos && fit_pos < by_class_pos);
         assert!(tree.contains("filter.funnel{raw_fatal} = 128"));
         assert!(tree.contains("run.threads = 8"));
-        assert!(tree.contains("features: obs,parallel"));
+        assert!(tree.contains("threads: 8"));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! This replaces the ad-hoc `eprintln!` diagnostics that used to be
 //! scattered across the binaries: everything routes through [`log`], so
-//! a single `--quiet` flag makes stderr machine-clean. The facility is
-//! active in both `obs` feature modes — silencing diagnostics is a UX
-//! concern, not a metrics one.
+//! a single `--quiet` flag makes stderr machine-clean. Silencing
+//! diagnostics is a UX concern, not a metrics one: the verbosity switch
+//! never touches the collector.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -127,7 +127,6 @@ pub fn is_enabled() -> bool {
 
 /// Records one event for the current thread. Called by the span guard;
 /// callers outside the crate normally never need it directly.
-#[cfg_attr(not(feature = "obs"), allow(dead_code))]
 pub(crate) fn record(name: &'static str, phase: Phase) {
     let ts_ns = {
         let epoch = EPOCH.get_or_init(Instant::now);
@@ -236,7 +235,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn spans_emit_balanced_begin_end_pairs() {
         let _l = lock();
         let _ = take();
@@ -268,7 +266,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn worker_threads_flush_on_exit() {
         let _l = lock();
         let _ = take();

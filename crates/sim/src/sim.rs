@@ -111,27 +111,25 @@ pub fn generate(config: &SimConfig) -> SimOutput {
     // Daily RAS volume distribution (storm days vs. quiet days). The
     // normalized log is time-sorted, so one pass over day boundaries
     // suffices; the histogram is seeded-deterministic like the counters.
-    if bgq_obs::enabled() {
-        let mut per_day = bgq_obs::Histogram::new();
-        let mut current_day = None;
-        let mut run = 0u64;
-        for rec in &dataset.ras {
-            let day = rec.event_time.day_number();
-            if current_day == Some(day) {
-                run += 1;
-            } else {
-                if run > 0 {
-                    per_day.record(run);
-                }
-                current_day = Some(day);
-                run = 1;
+    let mut per_day = bgq_obs::Histogram::new();
+    let mut current_day = None;
+    let mut run = 0u64;
+    for rec in &dataset.ras {
+        let day = rec.event_time.day_number();
+        if current_day == Some(day) {
+            run += 1;
+        } else {
+            if run > 0 {
+                per_day.record(run);
             }
+            current_day = Some(day);
+            run = 1;
         }
-        if run > 0 {
-            per_day.record(run);
-        }
-        bgq_obs::hist_merge("sim.records_per_day", "ras", &per_day);
     }
+    if run > 0 {
+        per_day.record(run);
+    }
+    bgq_obs::hist_merge("sim.records_per_day", "ras", &per_day);
     // Record ids follow the (sorted) event order, as in a real archive.
     for (i, rec) in dataset.ras.iter_mut().enumerate() {
         rec.rec_id = RecId::new(i as u64 + 1);

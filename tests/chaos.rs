@@ -20,8 +20,8 @@
 //! from the seed (CI uploads the directory as an artifact).
 //!
 //! The fast smoke test (first 12 seeds) runs in tier-1; the full
-//! 64-seed corpus is `#[ignore]`d and run by CI in release in both
-//! feature legs (default and obs-off), mirroring the oracle corpus.
+//! 64-seed corpus is `#[ignore]`d and run by CI in release, mirroring
+//! the oracle corpus.
 
 mod common;
 
@@ -313,7 +313,7 @@ fn chaos_smoke_first_twelve_seeds() {
 
 /// The full corpus: 64 seeds crossing every corruption mode with every
 /// table (seeds 0..40 are the full cross product; 41..64 re-roll the
-/// inner choices). Run by CI in release in both feature legs.
+/// inner choices). Run by CI in release.
 #[test]
 #[ignore = "full corpus; run in release via CI or --include-ignored"]
 fn chaos_corpus_64_seeds() {

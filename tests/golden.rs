@@ -1,9 +1,8 @@
 //! Golden snapshot of the headline analysis numbers.
 //!
 //! A fixed-seed 30-day simulated trace must reproduce the committed
-//! fixture *byte for byte* in every build configuration (default and
-//! `--no-default-features`, which compiles out `obs`). Any drift — a
-//! changed constant, a reordered reduction, a float reassociation —
+//! fixture *byte for byte* in debug and release builds alike. Any drift
+//! — a changed constant, a reordered reduction, a float reassociation —
 //! fails this test before it can silently shift the paper-facing numbers.
 //!
 //! When a change is *meant* to move the numbers, regenerate with:

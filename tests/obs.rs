@@ -1,29 +1,24 @@
-//! Observability feature-matrix regression.
+//! Observability regression.
 //!
-//! The `obs` feature's promises, checked end to end:
+//! The bgq-obs collector's promises, checked end to end:
 //!
 //! * counter totals are **schedule-independent** — the same pipeline on
 //!   8 worker threads and on 1 produces identical counter/gauge maps
 //!   (wall times may differ; record-flow totals may not);
 //! * the funnel counters mirror the `Analysis` result fields exactly —
 //!   the side channel never drifts from the primary output;
-//! * the memoized join is built once per severity and reused after;
-//! * with `--no-default-features` every instrumentation call is a no-op
-//!   and the collector stays empty.
+//! * the memoized join is built once per severity and reused after.
 //!
 //! The collector is process-global, so the tests that diff snapshots
 //! serialize on a mutex — they must not observe each other's writes.
 
 use bgq_core::analysis::Analysis;
 use bgq_core::index::DatasetIndex;
-#[cfg(feature = "obs")]
 use bgq_model::Severity;
 use bgq_sim::{generate, SimConfig};
 
-#[cfg(feature = "obs")]
 static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-#[cfg(feature = "obs")]
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -41,7 +36,6 @@ fn instrumented_run(threads: usize) -> (Analysis, bgq_obs::Snapshot) {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn counter_totals_are_schedule_independent() {
     let _l = lock();
     let (a8, d8) = instrumented_run(8);
@@ -65,7 +59,6 @@ fn counter_totals_are_schedule_independent() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn funnel_counters_match_analysis_fields_exactly() {
     let _l = lock();
     let (analysis, delta) = instrumented_run(8);
@@ -101,7 +94,6 @@ fn funnel_counters_match_analysis_fields_exactly() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn join_memo_is_built_once_per_severity() {
     let _l = lock();
     let out = generate(&SimConfig::small(12).with_seed(42));
@@ -135,7 +127,6 @@ fn join_memo_is_built_once_per_severity() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn every_analysis_stage_records_wall_time() {
     let _l = lock();
     let (_, delta) = instrumented_run(8);
@@ -173,7 +164,6 @@ fn every_analysis_stage_records_wall_time() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn data_histograms_are_schedule_independent() {
     let _l = lock();
     let (_, d8) = instrumented_run(8);
@@ -208,7 +198,6 @@ fn data_histograms_are_schedule_independent() {
 
 /// Deterministic pseudo-random values spanning the exact region, several
 /// octaves, and heavy tails.
-#[cfg(feature = "obs")]
 fn synthetic_values(seed: u64, n: usize) -> Vec<u64> {
     let mut state = seed;
     let mut next = move || {
@@ -228,7 +217,6 @@ fn synthetic_values(seed: u64, n: usize) -> Vec<u64> {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn histogram_quantiles_track_the_oracle_within_bucket_error() {
     use bgq_obs::hist::MAX_RELATIVE_ERROR;
     // The histogram quantile is nearest-rank snapped to its bucket's
@@ -267,7 +255,6 @@ fn histogram_quantiles_track_the_oracle_within_bucket_error() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn histogram_merge_equals_single_pass_recording() {
     let values = synthetic_values(3, 10_000);
     let mut whole = bgq_obs::Histogram::new();
@@ -290,7 +277,6 @@ fn histogram_merge_equals_single_pass_recording() {
 }
 
 #[test]
-#[cfg(feature = "obs")]
 fn trace_event_counts_are_schedule_independent() {
     let _l = lock();
     use std::collections::BTreeMap;
@@ -328,16 +314,4 @@ fn trace_event_counts_are_schedule_independent() {
         runs[0], runs[1],
         "per-name trace-event counts depend on the schedule"
     );
-}
-
-#[test]
-#[cfg(not(feature = "obs"))]
-fn disabled_obs_collects_nothing() {
-    let (_, delta) = instrumented_run(4);
-    assert!(delta.is_empty(), "obs-off build still collected: {delta:?}");
-    assert!(!bgq_obs::enabled());
-    // The macros still compile and run as no-ops.
-    let _g = bgq_obs::span!("noop.stage");
-    bgq_obs::add("noop.counter", 1);
-    assert!(bgq_obs::snapshot().is_empty());
 }

@@ -1,7 +1,7 @@
 //! Snapshot-store integration suite: the binary columnar path must be
 //! indistinguishable from the CSV path everywhere above the loader.
 //!
-//! Four contracts, pinned in both feature legs (default and obs-off):
+//! Four contracts:
 //!
 //! 1. **Load parity** — the same dataset persisted as CSV and as a
 //!    snapshot loads to *equal* in-memory records, and the full
