@@ -1603,15 +1603,6 @@ impl DecodedRows {
             DecodedRows::Io(r) => r.len(),
         }
     }
-
-    fn table(&self) -> &'static str {
-        match self {
-            DecodedRows::Jobs(_) => "jobs",
-            DecodedRows::Ras(_) => "ras",
-            DecodedRows::Tasks(_) => "tasks",
-            DecodedRows::Io(_) => "io",
-        }
-    }
 }
 
 /// Strict load of a snapshot directory: every table must be available
@@ -1710,28 +1701,6 @@ fn load_segments(
         segments: Vec::new(),
         partitions: PartitionMap::default(),
     };
-    // Prefetch every requested segment in parallel: each is an
-    // independent read+decode, and the accounting below consumes the
-    // outcomes in deterministic (table-major, day-ascending) order, so
-    // strict-mode errors and degraded reports are identical to a
-    // sequential pass.
-    let work: Vec<(&'static str, i64)> = TABLES
-        .iter()
-        .filter(|t| availability.available(t) && tables.contains(t))
-        .flat_map(|&t| days.iter().map(move |&d| (t, d)))
-        .collect();
-    let decoded = bgq_par::par_map(&work, |&(t, d)| read_segment(t, d, root));
-    // Reserve the final tables once: appending ~2000 day segments into
-    // unsized vectors would re-copy each table log₂(segments) times.
-    let mut totals = [0usize; 4];
-    for out in &decoded {
-        totals[table_id(out.records.table()) as usize] += out.records.len();
-    }
-    ds.jobs.reserve(totals[0]);
-    ds.ras.reserve(totals[1]);
-    ds.tasks.reserve(totals[2]);
-    ds.io.reserve(totals[3]);
-    let mut outcomes: std::vec::IntoIter<SegmentOutcome> = decoded.into_iter();
     for table in TABLES {
         let mut stats = TableLoadStats {
             table,
@@ -1754,8 +1723,23 @@ fn load_segments(
         if !tables.contains(&table) {
             continue;
         }
-        for &day in days {
-            let mut out = outcomes.next().expect("one outcome per scheduled segment");
+        // Decode this table's segments in parallel, each an independent
+        // read+decode, and account for them in day order, so strict-mode
+        // errors and degraded reports are identical to a sequential pass.
+        // One table at a time spreads every table over all workers, and
+        // its decoded segments are appended and freed before the next
+        // table's are decoded.
+        let decoded = bgq_par::par_map(days, |&day| read_segment(table, day, root));
+        // Reserve the final table once: appending ~2000 day segments into
+        // an unsized vector would re-copy it log₂(segments) times.
+        let rows: usize = decoded.iter().map(|out| out.records.len()).sum();
+        match table {
+            "jobs" => ds.jobs.reserve(rows),
+            "ras" => ds.ras.reserve(rows),
+            "tasks" => ds.tasks.reserve(rows),
+            _ => ds.io.reserve(rows),
+        }
+        for (mut out, &day) in decoded.into_iter().zip(days) {
             // Per-segment reject ceiling: one corrupt day must not hide
             // under the whole-table aggregate (nor fail the other 2000).
             if out.quarantine.is_none() {
@@ -2225,6 +2209,59 @@ mod tests {
         assert_eq!(
             report.quarantined_segments()[0].quarantined,
             Some(SegmentQuarantine::Missing)
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Damage on a late jobs day and an early RAS day: the strict error
+    /// names the jobs segment, which comes first in (table, day) order
+    /// although its day is later, and the degraded report lists every
+    /// segment in that order.
+    #[test]
+    fn load_outcomes_keep_table_major_order() {
+        let ds = sample();
+        let root = tmp("order");
+        write_dir(&ds, &root, &SourceAvailability::ALL).unwrap();
+        std::fs::write(segment_path(&root, "jobs", 15805), b"torn").unwrap();
+        std::fs::remove_file(segment_path(&root, "ras", 15804)).unwrap();
+        let strict = LoadOptions {
+            max_reject_ratio: 0.0,
+            degraded: false,
+        };
+        let err = read_dir_with(&root, &strict).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Segment {
+                    table: "jobs",
+                    day: 15805,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let degraded = LoadOptions {
+            degraded: true,
+            ..strict
+        };
+        let (_, report) = read_dir_with(&root, &degraded).unwrap();
+        let order: Vec<(&str, i64)> = report.segments.iter().map(|s| (s.table, s.day)).collect();
+        let want: Vec<(&str, i64)> = TABLES
+            .iter()
+            .flat_map(|&t| [(t, 15804), (t, 15805)])
+            .collect();
+        assert_eq!(order, want);
+        let quarantined: Vec<_> = report
+            .quarantined_segments()
+            .iter()
+            .map(|s| (s.table, s.day, s.quarantined))
+            .collect();
+        assert_eq!(
+            quarantined,
+            [
+                ("jobs", 15805, Some(SegmentQuarantine::Header)),
+                ("ras", 15804, Some(SegmentQuarantine::Missing)),
+            ]
         );
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -4,10 +4,13 @@
 //! dataset: only the values the query protocol answers from. Each is
 //! rendered from a `Tally`, the served fields kept as running per-day
 //! partials: a live tick folds in only the newly committed days
-//! ([`crate::ingest`]), and [`Epoch::build`] folds a whole dataset in one
-//! batch, through the same code. A traced `live_tail` tick spends
-//! 1.2 ms here at ~465 days of history, and a traced `archive` tick
-//! 4.2–6.8 ms at ~2000 days (`epoch.build_ms`, two cores). The
+//! ([`crate::ingest`]), a cold start folds its backlog a chunk of days
+//! at a time and renders one epoch after the last, so it holds one
+//! chunk's rows instead of the whole history's, and [`Epoch::build`]
+//! folds a whole dataset in one batch, all through the same code. A
+//! traced `live_tail` tick spends 1.2 ms here at ~465 days of history,
+//! and a traced `archive` tick 4.2–6.8 ms at ~2000 days
+//! (`epoch.build_ms`, two cores). The
 //! [`EpochStore`] publishes epochs by swapping an `Arc` behind an
 //! `RwLock`; readers hold the lock only long enough to clone the `Arc`,
 //! so a query in flight keeps its epoch alive while ingestion publishes
@@ -87,8 +90,8 @@ impl Epoch {
 
     /// Builds a consistent view over `ds`: a fresh `Tally` folding the
     /// whole dataset in one batch. A live [`crate::Ingestor`] folds the
-    /// same rows a day at a time through the same code, so the two answer
-    /// bit-identically.
+    /// same rows a day at a time, or a backlog a chunk of days at a time,
+    /// through the same code, so the two answer bit-identically.
     ///
     /// `days` is the manifest's day list (it can exceed the days holding
     /// rows when a day holds only I/O rows, or when every segment of a day
@@ -240,9 +243,11 @@ impl Tally {
         }
     }
 
-    /// Adds `fresh`'s rows to every partial. `last_day` is the last day
-    /// folded so far; jobs ending after it stay open for later events.
-    fn fold(&mut self, fresh: &Dataset, last_day: Option<i64>) {
+    /// Adds `fresh`'s rows to every partial without rendering an epoch:
+    /// a poll's backlog folds all but its last chunk this way. `last_day`
+    /// is the last day folded so far; jobs ending after it stay open for
+    /// later events.
+    pub(crate) fn fold(&mut self, fresh: &Dataset, last_day: Option<i64>) {
         let lens = [
             fresh.jobs.len(),
             fresh.ras.len(),
